@@ -178,54 +178,31 @@ def run_generation_batching():
 
     One generation of ``GENERATION_SIZE`` LAC children whose cones all
     overlap on the reference parent — the workload the stacked value
-    matrices and the stacked timing frontier target.  Bit-identity
-    between the paths is asserted before any number is reported.  The
-    ``sta_*`` rows isolate the timing half: ``update_timing_batch``
-    over the whole generation vs a per-child ``update_timing`` loop on
-    the same (circuit, changed) pairs.
+    matrices target.  Bit-identity between the paths (and of the
+    brood-level ``update_timing_batch`` against per-child
+    ``update_timing``) is asserted before any number is reported.
     """
     library = default_library()
     rows = {
         "seq_gen_evals_per_s": [],
         "batch_gen_evals_per_s": [],
         "batch_speedup": [],
-        "seq_sta_per_s": [],
-        "stacked_sta_per_s": [],
-        "sta_speedup": [],
     }
     for width in PARALLEL_WIDTHS:
         _, ctx = _build_ctx(width, library)
         parent = ctx.reference_eval()
         children = _generation(ctx, GENERATION_SIZE)
-        # --- timing half in isolation: stacked frontier vs per-child ---
         pairs = [
             (c.copy(), c.valid_provenance().changed) for c in children
         ]
-        stacked = update_timing_batch(ctx.sta, parent.report, pairs)
-        for (c, ch), a in zip(pairs, stacked):
+        brood = update_timing_batch(ctx.sta, parent.report, pairs)
+        for (c, ch), a in zip(pairs, brood):
             b = update_timing(ctx.sta, c, parent.report, ch)
             assert np.array_equal(a.arrival_a, b.arrival_a)
             assert np.array_equal(a.slew_a, b.slew_a)
             assert np.array_equal(a.load_a, b.load_a)
             assert np.array_equal(a.unit_depth_a, b.unit_depth_a)
             assert np.array_equal(a.critical_fanin_a, b.critical_fanin_a)
-        best_sta_seq = best_sta_stacked = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            for c, ch in pairs:
-                update_timing(ctx.sta, c, parent.report, ch)
-            best_sta_seq = min(best_sta_seq, time.perf_counter() - start)
-            start = time.perf_counter()
-            update_timing_batch(ctx.sta, parent.report, pairs)
-            best_sta_stacked = min(
-                best_sta_stacked, time.perf_counter() - start
-            )
-        sta_seq_rate = len(pairs) / best_sta_seq
-        sta_stacked_rate = len(pairs) / best_sta_stacked
-        rows["seq_sta_per_s"].append(sta_seq_rate)
-        rows["stacked_sta_per_s"].append(sta_stacked_rate)
-        rows["sta_speedup"].append(sta_stacked_rate / sta_seq_rate)
-        # --- full evaluation path (value walk + timing + metrics) ---
         # Identity first (copies carry the same provenance record).
         batch_evals = evaluate_batch(
             ctx, [(c.copy(), (parent,)) for c in children]
@@ -361,7 +338,7 @@ def run_transport_sizes():
         # The value payload alone: dense matrix (no keys on the wire)
         # vs the PR-3 keyed row packing it replaced.
         values = ev.values
-        dense = len(pickle.dumps((None, values.matrix)))
+        dense = len(pickle.dumps(values.matrix))
         keyed = len(
             pickle.dumps(
                 (
@@ -447,8 +424,7 @@ def test_runtime_scaling(benchmark):
     text += "\n\n" + format_series(
         "Generation evaluation, stacked batch vs sequential incremental "
         f"({GENERATION_SIZE} LAC children on the reference parent; "
-        "bit-identity asserted first; sta_* rows isolate "
-        "update_timing_batch vs a per-child update_timing loop)",
+        "bit-identity asserted first)",
         "width",
         list(PARALLEL_WIDTHS),
         generation_rows,
@@ -481,9 +457,6 @@ def test_runtime_scaling(benchmark):
     assert all(r < 1.0 for r in transport_rows["ratio"])
     assert all(r < 1.0 for r in transport_rows["val_ratio"])
     assert all(r >= 0.95 for r in generation_rows["batch_speedup"])
-    # The stacked timing frontier must never drop materially below the
-    # per-child update_timing loop it batches.
-    assert all(r >= 0.95 for r in generation_rows["sta_speedup"])
     # Warm lake hits skip STA and simulation entirely; if they ever get
     # slower than the cold write-through pass, the cache lost its point.
     assert all(r >= 1.0 for r in warm_rows["warm_speedup"])

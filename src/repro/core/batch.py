@@ -20,16 +20,13 @@ parent.  :func:`evaluate_batch` amortises that across the generation:
   function (the :func:`~repro.sta.store.timing_plan` analogue), so the
   Python dispatch cost is paid per (level, function) instead of per
   (gate, child);
-* timing runs the same way: the parent's five timing arrays are forked
-  into one ``(B, rows)`` tensor per quantity and the masked incremental
-  frontier (:func:`repro.sta.update_timing_batch`) walks all children
-  level by level, dirty (child, gate) pairs bucketed per (level, cell)
-  with one batched NLDM lookup per bucket — instead of B independent
-  per-child ``update_timing`` frontier walks;
+* timing runs per child: :func:`repro.sta.update_timing_batch` walks
+  each child's masked incremental frontier against the shared parent
+  report;
 * children in ``singles`` that share a full structure key are evaluated
   once per key and the result is shared by item index.
 
-Correctness of the stacked walk rests on two facts, both checked per
+Correctness of the stacked value walk rests on two facts, both checked per
 child with cheap O(cone) guards that fall back to
 :func:`~repro.core.fitness.evaluate_incremental` when violated:
 
@@ -61,7 +58,7 @@ import numpy as np
 
 from ..analysis.sanitize import publish_array
 from ..netlist import Circuit
-from ..sim.bitsim import _const_rows, resimulate_cone
+from ..sim.bitsim import resimulate_cone
 from ..sim.store import ValueStore, value_rows, value_store_index
 from ..cells import FUNCTIONS, split_cell_name
 from ..netlist import PI_CELL, PO_CELL
@@ -91,14 +88,6 @@ BatchItem = Tuple[Circuit, ParentEvals]
 #: are bit-identical (elementwise uint64 ops), so this is a pure perf
 #: knob like :data:`repro.sta.store.VECTOR_MIN_GROUP`.
 STACK_MIN_GROUP = 2
-
-#: Route a group's timing updates through the stacked incremental
-#: frontier (:func:`repro.sta.update_timing_batch`) instead of
-#: per-child :func:`repro.sta.update_timing` calls.  Both are
-#: bit-identical (pinned by tests); the toggle exists so equivalence
-#: can be asserted end-to-end with the stacked frontier on vs off.
-USE_STACKED_TIMING = True
-
 
 def _normalize_parents(parents: ParentEvals) -> Sequence[CircuitEval]:
     if parents is None:
@@ -146,33 +135,6 @@ def group_by_parent(
     return groups, singles
 
 
-#: The level-validity guard now lives beside the frontier walks it
-#: gates (:func:`repro.sta.shared_levels_valid`); the historical name
-#: is kept for the call sites below.
-_shared_levels_valid = shared_levels_valid
-
-
-def _shared_order_valid(
-    pos: Dict[int, int], circuit: Circuit, changed: FrozenSet[int]
-) -> bool:
-    """Topo-position variant of the guard (the dict-walk fallback)."""
-    fanins = circuit.fanins
-    for gid in changed:
-        if gid < 0:
-            continue
-        pg = pos.get(gid)
-        fis = fanins.get(gid)
-        if pg is None or fis is None:
-            return False
-        for fi in fis:
-            if fi < 0:
-                continue
-            pf = pos.get(fi)
-            if pf is None or pf >= pg:
-                return False
-    return True
-
-
 #: A dispatch record: (level, function-or-None-for-PO, row, fan-in rows).
 _GateRec = Tuple[int, Optional[str], int, Tuple[int, ...]]
 
@@ -186,12 +148,6 @@ def _batch_against_parent(
     """Evaluate one parent's children on one stacked value tensor."""
     pc = parent.circuit
     pvals = parent.values
-    if not isinstance(pvals, ValueStore) or not pvals.covers(pc):
-        # The parent eval predates the SoA store (e.g. a dict produced
-        # by the diverged resimulate_cone fallback): run the historical
-        # per-child dict walk — same results, no stacking.
-        _batch_against_parent_rows(ctx, parent, group, out)
-        return
     index = pvals.index
     levels = pc._cached("timing_levels")
     if levels is None and not pc.gid_order_topo():
@@ -218,7 +174,7 @@ def _batch_against_parent(
     for item_index, circuit, changed in group:
         if (
             not circuit.same_gid_set(pc)
-            or not _shared_levels_valid(level_of, row_of, circuit, changed)
+            or not shared_levels_valid(level_of, row_of, circuit, changed)
         ):
             # Structure diverged beyond what the stacked walk covers
             # (gates added/removed, or a rewrite against the parent's
@@ -351,109 +307,17 @@ def _batch_against_parent(
             srcs = np.array([p[2] for p in po_pairs], dtype=np.int64)
             stacked[ks, rows] = stacked[ks, srcs]
 
-    # Timing across the whole brood at once: the stacked incremental
-    # frontier runs the same masked walk per-child update_timing would,
-    # batched per (level, cell) — bit-identical floats (one shared
-    # kernel, same seeds, same propagation predicate).  Then the metric
-    # tail per child; each child takes its own matrix copy so an
-    # archived eval never pins the whole generation's tensor.
-    if USE_STACKED_TIMING:
-        reports = update_timing_batch(
-            ctx.sta,
-            parent.report,
-            [(circuit, changed) for _, circuit, _, changed in ready],
-        )
-    else:
-        reports = [
-            update_timing(ctx.sta, circuit, parent.report, changed)
-            for _, circuit, _, changed in ready
-        ]
+    # Timing per child against the shared parent report, then the
+    # metric tail; each child takes its own matrix copy so an archived
+    # eval never pins the whole generation's tensor.
+    reports = update_timing_batch(
+        ctx.sta,
+        parent.report,
+        [(circuit, changed) for _, circuit, _, changed in ready],
+    )
     for k, (item_index, circuit, _, changed) in enumerate(ready):
         store = ValueStore(index, publish_array(stacked[k].copy()))
         out[item_index] = _finish_eval(ctx, circuit, reports[k], store)
-
-
-def _batch_against_parent_rows(
-    ctx: EvalContext,
-    parent: CircuitEval,
-    group: List[Tuple[int, Circuit, FrozenSet[int]]],
-    out: List[Optional[CircuitEval]],
-) -> None:
-    """Historical shared topo walk over per-child dict value maps.
-
-    Kept as the fallback for parent evals without a dense store; every
-    result is bit-identical to the stacked walk and to the sequential
-    incremental path.
-    """
-    pc = parent.circuit
-    order = pc.topological_order()
-    pos = {gid: i for i, gid in enumerate(order)}
-
-    ready: List[Tuple[int, Circuit, Set[int], FrozenSet[int]]] = []
-    for index, circuit, changed in group:
-        if (
-            not circuit.same_gid_set(pc)
-            or not _shared_order_valid(pos, circuit, changed)
-        ):
-            out[index] = evaluate_incremental(ctx, circuit, parent)
-            continue
-        dirty: Set[int] = set()
-        for gid in changed:
-            if gid >= 0:
-                dirty |= pc.transitive_fanout(gid, include_self=True)
-        ready.append((index, circuit, dirty, changed))
-    if not ready:
-        return
-
-    num_words = ctx.vectors.num_words
-    const_rows = _const_rows(num_words)
-    pi_rows = {
-        pi: ctx.vectors.words[row] for row, pi in enumerate(pc.pi_ids)
-    }
-    values_list: List[Dict[int, np.ndarray]] = []
-    for _, circuit, _, _ in ready:
-        values: Dict[int, np.ndarray] = dict(parent.values)
-        values.update(const_rows)
-        values.update(pi_rows)
-        values_list.append(values)
-
-    touch: Dict[int, List[int]] = {}
-    for k, (_, _, dirty, _) in enumerate(ready):
-        for gid in dirty:
-            touch.setdefault(gid, []).append(k)
-    for gid in order:
-        ks = touch.get(gid)
-        if not ks:
-            continue
-        for k in ks:
-            circuit = ready[k][1]
-            cell = circuit.cells[gid]
-            if cell == PI_CELL:
-                continue
-            values = values_list[k]
-            fis = circuit.fanins[gid]
-            if cell == PO_CELL:
-                values[gid] = values[fis[0]]
-                continue
-            function, _ = split_cell_name(cell)
-            values[gid] = FUNCTIONS[function].word_eval(
-                [values[fi] for fi in fis]
-            )
-
-    timing_levels(pc)
-    if USE_STACKED_TIMING:
-        reports = update_timing_batch(
-            ctx.sta,
-            parent.report,
-            [(circuit, changed) for _, circuit, _, changed in ready],
-        )
-    else:
-        reports = [
-            update_timing(ctx.sta, circuit, parent.report, changed)
-            for _, circuit, _, changed in ready
-        ]
-    for k, (index, circuit, _, changed) in enumerate(ready):
-        out[index] = _finish_eval(ctx, circuit, reports[k], values_list[k])
 
 
 def _evaluate_batch_core(
@@ -532,23 +396,14 @@ def _store_new_evals(
     cache, lib: bytes, vec: bytes,
     keys: Sequence[bytes], evals: Sequence[CircuitEval],
 ) -> None:
-    """Write freshly computed evals through to the lake.
-
-    Only dense-store evals are cached: the diverged-fallback path's
-    dict value maps are rare, and keeping the stored layout uniform
-    means a hit always reconstructs the same ``ValueStore`` type the
-    mainline paths produce.
-    """
+    """Write freshly computed evals through to the lake."""
     entries = []
     seen: Set[bytes] = set()
     for key, ev in zip(keys, evals):
         if key in seen:
             continue
         seen.add(key)
-        values = ev.values
-        if not isinstance(values, ValueStore):
-            continue
-        entries.append((key, (*ev.report.pack()[:5], values.matrix)))
+        entries.append((key, (*ev.report.pack()[:5], ev.values.matrix)))
     if entries:
         cache.put_many(lib, vec, entries)
 

@@ -33,6 +33,7 @@ from ..cells import Library
 from ..netlist import Circuit
 from ..sim import (
     ErrorMode,
+    ValueStore,
     VectorSet,
     measure_error,
     per_po_error,
@@ -42,7 +43,6 @@ from ..sim import (
     simulate,
 )
 from ..sim.error import make_unpack_cache
-from ..sim.bitsim import ValueMap
 from ..sta import STAEngine, TimingReport, update_timing
 
 #: Guard against division by zero on fully-degenerate circuits.
@@ -65,7 +65,7 @@ class EvalContext:
     vectors: VectorSet
     error_mode: ErrorMode
     reference: Circuit
-    reference_values: ValueMap
+    reference_values: ValueStore
     reference_po: np.ndarray
     depth_ori: float
     area_ori: float
@@ -198,7 +198,7 @@ class CircuitEval:
 
     circuit: Circuit
     report: TimingReport
-    values: ValueMap
+    values: ValueStore
     depth: float
     area: float
     error: float
@@ -220,7 +220,7 @@ def _finish_eval(
     ctx: EvalContext,
     circuit: Circuit,
     report: TimingReport,
-    values: ValueMap,
+    values: ValueStore,
 ) -> CircuitEval:
     """Shared metric tail: error + area + Eq. 8 from report and values.
 

@@ -28,7 +28,7 @@ How determinism is preserved:
   knows which worker owns which parent); subsequent generations ship
   only the children.  Workers re-stamp each child's provenance against
   their cached parent copy and run the ordinary batch path — stacked
-  value walk plus the stacked incremental timing frontier
+  value walk plus per-child incremental timing
   (:func:`repro.sta.update_timing_batch`) — the same code, the same
   floats.
 * **Results merge by item index**, so completion order is irrelevant.
@@ -270,16 +270,12 @@ class _ContextSpec:
 # same sorted-gid row numbering as the timing arrays, so evals cross
 # the pipe with that matrix shipped raw — no per-gate keys, no dict
 # repacking — and the row index is rebuilt memoized from the circuit on
-# the receiving side (``keys is None`` marks the dense layout).  Legacy
-# dict value maps (the diverged-fallback path) still ship as a key
-# array plus stacked rows, exactly as PR 3 packed them.  Timing rides
-# the same way: the report's SoA arrays ship raw (five numpy arrays
-# instead of five per-gate dicts).
+# the receiving side.  Timing rides the same way: the report's SoA
+# arrays ship raw (five numpy arrays instead of five per-gate dicts).
 _PackedEval = Tuple[
     Circuit,  # shares identity with report.circuit through one pickle
     Tuple,  # TimingReport.pack(): five SoA arrays + structure version
-    Optional[np.ndarray],  # value-map keys (int64); None = dense store
-    np.ndarray,  # value matrix: (index.n + 2, W) dense or stacked rows
+    np.ndarray,  # value matrix: (index.n + 2, W)
     float,  # depth
     float,  # area
     float,  # error
@@ -292,22 +288,10 @@ _PackedEval = Tuple[
 
 
 def _pack_eval(ev: CircuitEval) -> _PackedEval:
-    values = ev.values
-    if isinstance(values, ValueStore):
-        keys: Optional[np.ndarray] = None
-        matrix = values.matrix
-    else:
-        keys = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
-        matrix = (
-            np.stack(list(values.values()))
-            if values
-            else np.empty((0, 0), dtype=np.uint64)
-        )
     return (
         ev.circuit,
         ev.report.pack(),
-        keys,
-        matrix,
+        ev.values.matrix,
         ev.depth,
         ev.area,
         ev.error,
@@ -323,7 +307,6 @@ def _unpack_eval(packed: _PackedEval) -> CircuitEval:
     (
         circuit,
         report_payload,
-        keys,
         matrix,
         depth,
         area,
@@ -334,17 +317,12 @@ def _unpack_eval(packed: _PackedEval) -> CircuitEval:
         fitness,
         version,
     ) = packed
-    if keys is None:
-        # Dense store: rebuild the (memoized) row index from the
-        # circuit that travelled alongside — same sorted-gid numbering
-        # the sender laid the matrix out by.  The matrix arrives
-        # writable from the pipe; republish it read-only — a shipped
-        # eval is as published as the local one it mirrors.
-        values: Any = ValueStore(
-            value_store_index(circuit), publish_array(matrix)
-        )
-    else:
-        values = {int(k): matrix[i] for i, k in enumerate(keys)}
+    # Rebuild the (memoized) row index from the circuit that travelled
+    # alongside — same sorted-gid numbering the sender laid the matrix
+    # out by.  The matrix arrives writable from the pipe; republish it
+    # read-only — a shipped eval is as published as the local one it
+    # mirrors.
+    values = ValueStore(value_store_index(circuit), publish_array(matrix))
     return CircuitEval(
         circuit=circuit,
         report=TimingReport.unpack(circuit, report_payload),

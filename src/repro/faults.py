@@ -31,6 +31,8 @@ up in this repo:
                    flipped (scope: unused)
 ``serve.crash``    a served job raises after streaming an iteration
                    (scope: the job's tag, falling back to its id)
+``serve.hold``     a served job parks after streaming an iteration
+                   until it is interrupted (scope: as ``serve.crash``)
 
 A scope-qualified clause (``worker.kill@0=1``) matches only that scope;
 an unqualified clause matches every scope, with hits counted **per

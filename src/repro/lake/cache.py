@@ -118,7 +118,11 @@ class EvalCache:
             names = os.listdir(self.segments_dir)
         except OSError:
             return []
-        return sorted(n for n in names if n.endswith(".evs"))
+        return sorted(
+            n
+            for n in names
+            if n.endswith(".evs") and not n.startswith(seg.TMP_PREFIX)
+        )
 
     def refresh(self) -> None:
         """Fold segments other processes published into the index.

@@ -21,6 +21,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from .segment import TMP_PREFIX
+
 
 @dataclass
 class RunRecord:
@@ -61,7 +63,11 @@ class Catalog:
             names = os.listdir(self.path)
         except OSError:
             return []
-        return sorted(n for n in names if n.endswith(".pkl"))
+        return sorted(
+            n
+            for n in names
+            if n.endswith(".pkl") and not n.startswith(TMP_PREFIX)
+        )
 
     def count(self) -> int:
         return len(self._entries())
@@ -74,7 +80,7 @@ class Catalog:
             f"{os.urandom(3).hex()}.pkl"
         )
         final = os.path.join(self.path, name)
-        tmp = os.path.join(self.path, f".tmp-{name}")
+        tmp = os.path.join(self.path, TMP_PREFIX + name)
         with open(tmp, "wb") as f:
             pickle.dump(record, f, pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, final)

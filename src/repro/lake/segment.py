@@ -53,6 +53,12 @@ def _warn(message: str) -> None:
     warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
+#: Name prefix of a file still being written (published by
+#: ``os.replace`` onto its final name).  Directory listings skip it: a
+#: temp file belongs to its writer until the rename.
+TMP_PREFIX = ".tmp-"
+
+
 def write_segment(
     directory: str,
     records: Iterable[Tuple[KeyTriple, float, bytes]],
@@ -66,7 +72,7 @@ def write_segment(
     ``os.replace`` is a same-filesystem rename.
     """
     final = os.path.join(directory, name)
-    tmp = os.path.join(directory, f".tmp-{name}")
+    tmp = os.path.join(directory, TMP_PREFIX + name)
     wrote = False
     with open(tmp, "wb") as f:
         f.write(FILE_MAGIC)

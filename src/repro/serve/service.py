@@ -54,6 +54,7 @@ import asyncio
 import itertools
 import os
 import tempfile
+import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
@@ -118,6 +119,17 @@ class Job:
         self.session: Optional[Session] = None
         self.cancel_requested = False
         self.preempt_requested = False
+        #: Set by every interrupt request; a ``serve.hold`` parks on it.
+        self.interrupted = threading.Event()
+
+    def interrupt(self) -> bool:
+        """Ask the live run to pause at its next iteration boundary.
+
+        Returns ``False`` when no optimization is running to interrupt.
+        """
+        self.interrupted.set()
+        session = self.session
+        return session is not None and session.interrupt()
 
     # -- introspection --------------------------------------------------
     @property
@@ -225,6 +237,11 @@ class _StreamCallback(RunCallback):
                 f"injected crash in job {self.job.id} at iteration "
                 f"{event.iteration}"
             )
+        # Test hold: park the job at this boundary until something
+        # interrupts it (eviction, cancel, drain or its deadline), so
+        # "mid-run" is a state a test creates instead of a race.
+        if faults.should_inject("serve.hold", scope):
+            self.job.interrupted.wait()
 
     def on_run_end(self, result) -> None:
         self.service.post_threadsafe(self.job, {
@@ -315,9 +332,7 @@ class OptimizationService:
             job.preempt_requested = True
             if not drain:
                 job.cancel_requested = True
-            session = job.session
-            if session is not None:
-                session.interrupt()
+            job.interrupt()
         # Cancel jobs that never started; their streams must end too.
         pending: List[Job] = []
         while not self._queue.empty():
@@ -381,8 +396,7 @@ class OptimizationService:
             return
         victim = min(candidates, key=lambda j: j.started_at or 0.0)
         victim.preempt_requested = True
-        session = victim.session
-        if session is not None and session.interrupt():
+        if victim.interrupt():
             self._log(f"{victim.id} evicting to checkpoint (queue starved)")
 
     def cancel(self, job: Job) -> bool:
@@ -390,9 +404,7 @@ class OptimizationService:
         if job.terminal:
             return False
         job.cancel_requested = True
-        session = job.session
-        if session is not None:
-            session.interrupt()
+        job.interrupt()
         return True
 
     # ------------------------------------------------------------------
@@ -435,9 +447,7 @@ class OptimizationService:
                     continue
                 job.deadline_hit = True
                 self._log(f"{job.id} exceeded its {deadline:.1f}s deadline")
-                session = job.session
-                if session is not None:
-                    session.interrupt()
+                job.interrupt()
 
     async def _run_job(self, job: Job) -> None:
         job.state = RUNNING
@@ -445,6 +455,7 @@ class OptimizationService:
         if job.first_started_at is None:
             job.first_started_at = job.started_at
         job.preempt_requested = False
+        job.interrupted.clear()
         self._running[job.id] = job
         await job.post(self._state_event(job))
         try:

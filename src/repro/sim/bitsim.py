@@ -8,10 +8,10 @@ and output-similarity tables.
 Values live in the structure-of-arrays :class:`~repro.sim.store.ValueStore`
 (one dense uint64 matrix laid out by the shared timing row index) rather
 than a per-gate dict; the store's mapping face keeps every historical
-``values[gid]`` consumer working.  :func:`resimulate_cone` keeps a
-dict-based fallback for base values whose gate-ID set no longer covers
-the circuit (gates added/removed since the base simulation) — results
-are bit-identical on every path.
+``values[gid]`` consumer working.  Every path returns a store:
+:func:`resimulate_cone` shares the base's row index when the gate-ID set
+is unchanged and rebases onto the circuit's own index when gates were
+added or removed — results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -23,19 +23,14 @@ import numpy as np
 from ..analysis.sanitize import publish_array
 from ..cells import FUNCTIONS, split_cell_name
 from ..netlist import CONST0, CONST1, PI_CELL, PO_CELL, Circuit
+from ..sta.store import shared_rows
 from .store import ValueStore, value_rows, value_store_index
 from .vectors import VectorSet
 
-#: Map from gate id to its packed output words — either a plain dict or
-#: the dense :class:`ValueStore` (a read-only Mapping with the same face).
+#: Map from gate id to its packed output words.  Every simulation path
+#: returns the dense :class:`ValueStore`; the scalar per-gate helpers
+#: read any mapping with the same face.
 ValueMap = Mapping[int, np.ndarray]
-
-
-def _const_rows(num_words: int) -> Dict[int, np.ndarray]:
-    return {
-        CONST0: np.zeros(num_words, dtype=np.uint64),
-        CONST1: np.full(num_words, 0xFFFFFFFFFFFFFFFF, dtype=np.uint64),
-    }
 
 
 # lint: allow[R1] publish site: fills a freshly allocated, unshared store
@@ -82,10 +77,10 @@ def simulate(circuit: Circuit, vectors: VectorSet) -> ValueStore:
 def resimulate_cone(
     circuit: Circuit,
     vectors: VectorSet,
-    base_values: ValueMap,
+    base_values: ValueStore,
     changed: Iterable[int],
     dirty: Optional[Set[int]] = None,
-) -> ValueMap:
+) -> ValueStore:
     """Incrementally re-evaluate only the TFO of ``changed`` gates.
 
     ``base_values`` must come from a simulation of a circuit identical to
@@ -93,15 +88,15 @@ def resimulate_cone(
     incremental trick VECBEE uses to make batch LAC evaluation cheap: an
     approximate change only perturbs its transitive fan-out.
 
-    Returns a fresh value mapping; ``base_values`` is not mutated.  When
-    the base is a :class:`ValueStore` covering this circuit's gate-ID
-    set (every copy-then-mutate child qualifies), the result is a store
-    sharing the parent's row index — one matrix ``memcpy`` plus the
-    dirty rows, no per-gate dict traffic — and on gid-topological
-    circuits (every population member) the dirty rows evaluate in
-    sorted-gid order, skipping the per-child topological-order build.
-    Otherwise (gates added or removed since the base simulation) the
-    historical dict walk runs; all paths produce bit-identical rows.
+    Returns a fresh store; ``base_values`` is not mutated.  When the
+    base covers this circuit's gate-ID set (every copy-then-mutate
+    child qualifies), the result shares the base's row index — one
+    matrix ``memcpy`` plus the dirty rows.  Otherwise (gates added or
+    removed since the base simulation) it is laid out by the circuit's
+    own memoized index: shared rows copy across by gate ID and added
+    gates evaluate alongside the dirty ones.  On gid-topological
+    circuits (every population member) rows evaluate in sorted-gid
+    order, skipping the per-child topological-order build.
 
     ``dirty`` optionally supplies the precomputed TFO of ``changed``
     (callers holding the parent's memoized cones pass it; see
@@ -114,62 +109,50 @@ def resimulate_cone(
             # is_const() without a call per changed gate.
             if gid >= 0:
                 dirty |= circuit.transitive_fanout(gid, include_self=True)
-    fanins = circuit.fanins
-    cells = circuit.cells
-    if isinstance(base_values, ValueStore) and base_values.covers(circuit):
+    if base_values.covers(circuit):
         index = base_values.index
         matrix = base_values.fork_matrix()
-        rows = value_rows(index)
-        matrix[index.n] = 0
-        matrix[index.n + 1] = np.uint64(0xFFFFFFFFFFFFFFFF)
-        for i, pi in enumerate(circuit.pi_ids):
-            matrix[rows[pi]] = vectors.words[i]
-        if circuit.gid_order_topo():
-            schedule = sorted(dirty)
-        else:
-            schedule = [
-                gid for gid in circuit.topological_order() if gid in dirty
-            ]
-        for gid in schedule:
-            cell = cells[gid]
-            if cell == PI_CELL:
-                continue
-            fis = fanins[gid]
-            if cell == PO_CELL:
-                matrix[rows[gid]] = matrix[rows[fis[0]]]
-                continue
-            function, _ = split_cell_name(cell)
-            matrix[rows[gid]] = FUNCTIONS[function].word_eval(
-                [matrix[rows[fi]] for fi in fis]
-            )
-        return ValueStore(index, publish_array(matrix))
-    values: Dict[int, np.ndarray] = dict(base_values)
-    values.update(_const_rows(vectors.num_words))
-    for row, pi in enumerate(circuit.pi_ids):
-        values[pi] = vectors.words[row]
-    for gid in circuit.topological_order():
-        if gid not in dirty:
-            continue
+    else:
+        index = value_store_index(circuit)
+        shared, src = shared_rows(base_values.index, index)
+        matrix = np.zeros(
+            (index.n + 2, base_values.matrix.shape[1]), dtype=np.uint64
+        )
+        matrix[: index.n][shared] = base_values.matrix[src]
+        # Removed gates' cones name rows the circuit no longer has.
+        row_of = index.row
+        dirty = {gid for gid in dirty if gid in row_of}
+        dirty.update(index.gids[~shared].tolist())
+    rows = value_rows(index)
+    matrix[index.n] = 0
+    matrix[index.n + 1] = np.uint64(0xFFFFFFFFFFFFFFFF)
+    for i, pi in enumerate(circuit.pi_ids):
+        matrix[rows[pi]] = vectors.words[i]
+    if circuit.gid_order_topo():
+        schedule = sorted(dirty)
+    else:
+        schedule = [gid for gid in circuit.topological_order() if gid in dirty]
+    fanins = circuit.fanins
+    cells = circuit.cells
+    for gid in schedule:
         cell = cells[gid]
         if cell == PI_CELL:
             continue
         fis = fanins[gid]
         if cell == PO_CELL:
-            values[gid] = values[fis[0]]
+            matrix[rows[gid]] = matrix[rows[fis[0]]]
             continue
         function, _ = split_cell_name(cell)
-        values[gid] = FUNCTIONS[function].word_eval(
-            [values[fi] for fi in fis]
+        matrix[rows[gid]] = FUNCTIONS[function].word_eval(
+            [matrix[rows[fi]] for fi in fis]
         )
-    return values
+    return ValueStore(index, publish_array(matrix))
 
 
-def po_words(circuit: Circuit, values: ValueMap) -> np.ndarray:
+def po_words(circuit: Circuit, values: ValueStore) -> np.ndarray:
     """Stack PO rows into an ``(num_pos, num_words)`` array, PO order."""
-    if isinstance(values, ValueStore):
-        row = values.index.row
-        return values.matrix[[row[po] for po in circuit.po_ids]]
-    return np.stack([values[po] for po in circuit.po_ids])
+    row = values.index.row
+    return values.matrix[[row[po] for po in circuit.po_ids]]
 
 
 def evaluate_single(circuit: Circuit, bits: Dict[int, int]) -> Dict[int, int]:

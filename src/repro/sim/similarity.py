@@ -36,7 +36,7 @@ def constant_similarities(
 
 def rank_switches(
     circuit: Circuit,
-    values: ValueMap,
+    values: ValueStore,
     target: int,
     num_vectors: int,
     include_constants: bool = True,
@@ -63,13 +63,10 @@ def rank_switches(
     ]
     scored: List[Tuple[int, float]] = []
     if kept:
-        if isinstance(values, ValueStore):
-            # Dense store: one fancy-index gather instead of stacking
-            # per-candidate row views (same rows, same bits).
-            row = values.index.row
-            stacked = values.matrix[[row[c] for c in kept]]
-        else:
-            stacked = np.stack([values[c] for c in kept])
+        # One fancy-index gather instead of stacking per-candidate row
+        # views (same rows, same bits).
+        row = values.index.row
+        stacked = values.matrix[[row[c] for c in kept]]
         diff = stacked ^ values[target][np.newaxis, :]
         counts = popcount_rows(tail_masked(diff, num_vectors))
         sims = 1.0 - counts / float(num_vectors)
@@ -84,7 +81,7 @@ def rank_switches(
 
 def best_switch(
     circuit: Circuit,
-    values: ValueMap,
+    values: ValueStore,
     target: int,
     num_vectors: int,
     include_constants: bool = True,

@@ -26,7 +26,7 @@ keep that contract airtight:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,21 +38,10 @@ from .store import (
     VECTOR_MIN_GROUP,
     eval_gate_scalar,
     eval_gates_vector,
-    fork_stacked,
+    shared_rows,
     timing_index,
     timing_levels,
 )
-
-#: Minimum (child, gate) pairs before a stacked-frontier bucket takes
-#: the vectorized kernel.  Higher than the analyzer's
-#: ``VECTOR_MIN_GROUP``: a stacked bucket pays ~a dozen fancy-indexing
-#: gathers/scatters per group (the ``(P, k)`` fan-in gathers plus the
-#: four-output change mask), so the batched NLDM lookup only wins once
-#: the group is comfortably wide; below it the sequential walk's scalar
-#: kernel is cheaper.  Bit-identical either way — a pure perf knob
-#: (24 won a threshold sweep on the runtime-scaling generation
-#: workload at widths 64 and 128).
-STACKED_MIN_GROUP = 24
 
 
 class _PatchedFanouts:
@@ -174,28 +163,6 @@ def _incremental_loads(
     ):
         return engine._loads_array(circuit, index)
     loads = previous.load_a.copy()
-    _patch_loads(engine, circuit, parent, changed, index.row, fanouts, loads)
-    return loads
-
-
-def _patch_loads(
-    engine: STAEngine,
-    circuit: Circuit,
-    parent: Circuit,
-    changed: Iterable[int],
-    row: Dict[int, int],
-    fanouts,
-    loads: np.ndarray,
-) -> None:
-    """Rederive the loads of drivers perturbed by ``changed``, in place.
-
-    The shared core of :func:`_incremental_loads` and the stacked
-    frontier (which patches one row of the ``(B, rows)`` loads tensor
-    per child).  ``loads`` must already hold the parent's loads; callers
-    are responsible for the parent-reuse preconditions.  Accumulation
-    order per driver matches :meth:`STAEngine._loads_array` exactly, so
-    the resulting floats are bit-identical to a full recompute.
-    """
     parent_fanins = parent.fanins
     child_fanins = circuit.fanins
     drivers = set()
@@ -207,6 +174,7 @@ def _patch_loads(
     wire = engine.wire_cap_per_fanout
     po_load = engine.po_load
     is_po = circuit.is_po
+    row = index.row
     for d in drivers:
         if d < 0:
             continue
@@ -218,6 +186,7 @@ def _patch_loads(
                 pin_cap = lib_cell(cells[consumer]).input_cap
             total += pin_cap + wire
         loads[row[d]] = total
+    return loads
 
 
 def update_timing(
@@ -290,13 +259,7 @@ def update_timing(
         # gates added (none from LACs, but e.g. post-opt flows) land on
         # fresh rows, start from placeholders and are seeded dirty.
         pn = pindex.n
-        if pn:
-            pos = np.minimum(np.searchsorted(pindex.gids, index.gids), pn - 1)
-            shared = pindex.gids[pos] == index.gids
-        else:
-            pos = np.zeros(n, dtype=np.int64)
-            shared = np.zeros(n, dtype=bool)
-        src = pos[shared]
+        shared, src = shared_rows(pindex, index)
         head = arr[:n]
         head[shared] = previous.arrival_a[:pn][src]
         head[~shared] = 0.0
@@ -363,27 +326,10 @@ def update_timing(
         plevels = parent._cached("timing_levels")
         if plevels is None and not circuit.gid_order_topo():
             plevels = timing_levels(parent)
-        if plevels is not None:
-            level_of = plevels.level_of
-            ok = True
-            for g in changed:
-                if g < 0:
-                    continue
-                rg = row_of.get(g)
-                if rg is None:
-                    continue
-                lg = level_of[rg]
-                for fi in circuit.fanins[g]:
-                    if fi < 0:
-                        continue
-                    rfi = row_of.get(fi)
-                    if rfi is None or level_of[rfi] >= lg:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                levels = plevels
+        if plevels is not None and shared_levels_valid(
+            plevels.level_of, row_of, circuit, changed
+        ):
+            levels = plevels
     if levels is None:
         if circuit.gid_order_topo():
             # Kept local: the canonical timing_levels contract (level =
@@ -563,315 +509,16 @@ def shared_levels_valid(
     return True
 
 
-#: One frontier dispatch record: ``None`` for a PI row (re-deriving a
-#: PI reproduces its own values and never propagates, so PIs are
-#: skipped), else ``(cell_name_or_None_for_PO, fanin_rows, fanin_gids)``
-#: with constants pre-mapped to the sentinel row / gid ``-1``.
-_FrontierRec = Optional[Tuple[Optional[str], Tuple[int, ...], Tuple[int, ...]]]
-
-
-def _frontier_rec(
-    cell_name: str, fis: Tuple[int, ...], row_of: Dict[int, int], n: int
-) -> _FrontierRec:
-    if cell_name == PI_CELL:
-        return None
-    if cell_name == PO_CELL:
-        src = fis[0]
-        if src < 0:
-            return (None, (n,), (-1,))
-        return (None, (row_of[src],), (src,))
-    frows = tuple(row_of[fi] if fi >= 0 else n for fi in fis)
-    fgids = tuple(fi if fi >= 0 else -1 for fi in fis)
-    return (cell_name, frows, fgids)
-
-
 def update_timing_batch(
     engine: STAEngine,
     previous: TimingReport,
     children: Sequence[Tuple[Circuit, Iterable[int]]],
 ) -> List[TimingReport]:
-    """Incremental timing for a whole brood of one parent at once.
+    """Incremental timing for a whole brood of one parent.
 
     ``children`` pairs each child circuit with its changed-gate set,
     exactly what per-child :func:`update_timing` calls would receive
-    against the shared ``previous`` report.  The parent's five timing
-    arrays are forked into one ``(B, rows)`` tensor per quantity, every
-    child's dirty rows are seeded at once, and the masked frontier runs
-    level by level across the whole generation: dirty (child, gate)
-    pairs are bucketed per (topological level, cell) — the
-    :mod:`repro.core.batch` value-bucket analogue — and each bucket is
-    one batched NLDM lookup, so a frontier gate shared by thirty
-    children costs one :func:`~repro.sta.store.lookup_many` call
-    instead of thirty scalar table walks.
-
-    Results are **bit-identical** to per-child :func:`update_timing`
-    (pinned by property tests): same exact-inequality propagation
-    predicate on all four outputs, same first-wins tie re-resolution
-    (one shared kernel), same load rederivation floats, same seeds.
-    Children that cannot ride the shared schedule — diverged gate-ID
-    set, reordered POs, a rewire against the parent's level order, or a
-    stale parent — take the per-child sequential walk, same results.
-    Returns one report per child, in order.
+    against the shared ``previous`` report; returns one report per
+    child, in order.  Each child runs its own frontier walk.
     """
-    out: List[Optional[TimingReport]] = [None] * len(children)
-    if not children:
-        return []
-    parent = previous.circuit
-    pindex = previous.index
-    if parent.version != previous.circuit_version:
-        # The parent mutated since its report: nothing is shareable.
-        for i, (circuit, changed) in enumerate(children):
-            out[i] = update_timing(engine, circuit, previous, changed)
-        return out
-    n = pindex.n
-
-    # Shared schedule, same priority order as update_timing: the
-    # parent's memoized levels, else one-row-per-level on a
-    # gid-topological parent, else a freshly built parent schedule.
-    plevels = parent._cached("timing_levels")
-    if plevels is None and not parent.gid_order_topo():
-        plevels = timing_levels(parent)
-    if plevels is not None:
-        level_of = plevels.level_of
-        num_levels = plevels.num_levels
-    else:
-        level_of = np.arange(n, dtype=np.int32)
-        num_levels = n
-    row_of = pindex.row
-
-    ready: List[Tuple[int, Circuit, List[int]]] = []
-    for i, (circuit, changed_iter) in enumerate(children):
-        changed = list(changed_iter)
-        if (
-            circuit is parent
-            or not circuit.same_gid_set(parent)
-            or circuit.po_ids != parent.po_ids
-            or not shared_levels_valid(level_of, row_of, circuit, changed)
-        ):
-            out[i] = update_timing(engine, circuit, previous, changed)
-            continue
-        ready.append((i, circuit, changed))
-    if not ready:
-        return out
-    if len(ready) == 1:
-        # A one-child group gains nothing from stacking.
-        i, circuit, changed = ready[0]
-        out[i] = update_timing(engine, circuit, previous, changed)
-        return out
-
-    K = len(ready)
-    arr = fork_stacked(previous.arrival_a, K)
-    slew = fork_stacked(previous.slew_a, K)
-    depth = fork_stacked(previous.unit_depth_a, K)
-    cf = fork_stacked(previous.critical_fanin_a, K)
-    loads = fork_stacked(previous.load_a, K)
-    old_loads = previous.load_a[:n]
-
-    # Per-child row views (1D scalar indexing is measurably cheaper
-    # than 2D tuple indexing in the pair loops below) and per-child
-    # dirty flags as bytearrays (fastest scalar get/set available).
-    arr_v = list(arr)
-    slew_v = list(slew)
-    depth_v = list(depth)
-    cf_v = list(cf)
-    loads_v = list(loads)
-    queued = [bytearray(n) for _ in range(K)]
-    level_list = (
-        level_of.tolist() if isinstance(level_of, np.ndarray) else level_of
-    )
-    level_buckets: List[List[Tuple[int, int]]] = [
-        [] for _ in range(num_levels)
-    ]
-    fanouts_list = []
-    indices = []
-    changed_sets: List[set] = []
-    for k, (i, circuit, changed) in enumerate(ready):
-        # Children share the parent's dense index (the same reuse the
-        # per-child walk performs behind its memoized guard).
-        idx = circuit._cached("timing_index")
-        if idx is None:
-            idx = circuit._store("timing_index", pindex)
-        indices.append(idx)
-        fanouts = _shared_fanouts(circuit, previous, changed, True)
-        fanouts_list.append(fanouts)
-        _patch_loads(engine, circuit, parent, changed, row_of, fanouts, loads[k])
-        qk = queued[k]
-        cset = set()
-        for g in changed:
-            if g < 0:
-                continue
-            cset.add(g)
-            r = row_of[g]
-            if not qk[r]:
-                qk[r] = 1
-                level_buckets[level_list[r]].append((k, r))
-        changed_sets.append(cset)
-        # Exact comparison: any load delta, however tiny, dirties the
-        # gate — same seed rule as the per-child walk.
-        for r in np.flatnonzero(loads_v[k][:n] != old_loads).tolist():
-            if not qk[r]:
-                qk[r] = 1
-                level_buckets[level_list[r]].append((k, r))
-
-    # Frontier records for *unchanged* gates are a pure function of the
-    # parent structure — memoized on the parent across generations (the
-    # timing analogue of batch.py's value records; rows come from the
-    # shared index, so one memo serves every schedule kind).
-    recs: Dict[int, _FrontierRec] = parent._cached("timing_frontier_recs")
-    if recs is None:
-        recs = parent._store("timing_frontier_recs", {})
-    pcells = parent.cells
-    pfanins = parent.fanins
-    gids = pindex.gids
-    gid_of = gids.tolist()  # python ints: row -> gid without np boxing
-    lib_cell = engine.library.cell
-    input_slew = engine.input_slew
-
-    for lv in range(num_levels):
-        bucket = level_buckets[lv]
-        if not bucket:
-            continue
-        cell_groups: Dict[Tuple[str, int], List] = {}
-        po_pairs: List[Tuple[int, int, int, int]] = []
-        for k, r in bucket:
-            gid = gid_of[r]
-            if gid in changed_sets[k]:
-                circuit = ready[k][1]
-                rec = _frontier_rec(
-                    circuit.cells[gid], circuit.fanins[gid], row_of, n
-                )
-            else:
-                rec = recs.get(gid, False)
-                if rec is False:
-                    rec = _frontier_rec(pcells[gid], pfanins[gid], row_of, n)
-                    # lint: allow[R1] append-only memo fill, version-scoped
-                    recs[gid] = rec
-            if rec is None:
-                # PI rows re-derive to their own values and never
-                # propagate; skipping them is a no-op in the per-child
-                # walk too.
-                continue
-            cell_name, frows, fgids = rec
-            if cell_name is None:
-                po_pairs.append((k, r, frows[0], fgids[0]))
-            else:
-                cell_groups.setdefault((cell_name, len(frows)), []).append(
-                    (k, r, frows, fgids)
-                )
-        for (cell_name, _kk), pairs in cell_groups.items():
-            P = len(pairs)
-            cell = lib_cell(cell_name)
-            if P >= STACKED_MIN_GROUP:
-                ks = np.fromiter(
-                    (p[0] for p in pairs), dtype=np.int64, count=P
-                )
-                rows = np.fromiter(
-                    (p[1] for p in pairs), dtype=np.int64, count=P
-                )
-                frows_a = np.array([p[2] for p in pairs], dtype=np.int64)
-                fgids_a = np.array([p[3] for p in pairs], dtype=np.int32)
-                kcol = ks[:, None]
-                na, ns, nd, ncf = eval_gates_vector(
-                    cell,
-                    arr[kcol, frows_a],
-                    slew[kcol, frows_a],
-                    depth[kcol, frows_a],
-                    fgids_a,
-                    loads[ks, rows],
-                )
-                # Propagate when ANY of the four outputs changed,
-                # compared exactly — the per-child walk's predicate,
-                # vectorized.
-                changed_mask = (
-                    (na != arr[ks, rows])
-                    | (ns != slew[ks, rows])
-                    | (nd != depth[ks, rows])
-                    | (ncf != cf[ks, rows])
-                )
-                arr[ks, rows] = na
-                slew[ks, rows] = ns
-                depth[ks, rows] = nd
-                cf[ks, rows] = ncf
-                for p_i in np.flatnonzero(changed_mask).tolist():
-                    k, r = pairs[p_i][0], pairs[p_i][1]
-                    qk = queued[k]
-                    for fo in fanouts_list[k].get(gid_of[r], ()):
-                        fr = row_of[fo]
-                        if not qk[fr]:
-                            qk[fr] = 1
-                            level_buckets[level_list[fr]].append((k, fr))
-                continue
-            # Small groups: the sequential walk's scalar kernel and
-            # scalar change predicate, with no per-group arrays — the
-            # numpy machinery above only pays for itself on wide
-            # buckets.
-            for k, r, frows, fgids in pairs:
-                ak = arr_v[k]
-                sk = slew_v[k]
-                dk = depth_v[k]
-                fan_timing = [
-                    (float(ak[fr]), float(sk[fr]), int(dk[fr]), fg)
-                    for fr, fg in zip(frows, fgids)
-                ]
-                na1, ns1, nd1, ncf1 = eval_gate_scalar(
-                    cell, fan_timing, float(loads_v[k][r]), input_slew
-                )
-                ck = cf_v[k]
-                if (
-                    na1 != ak[r]
-                    or ns1 != sk[r]
-                    or nd1 != dk[r]
-                    or ncf1 != ck[r]
-                ):
-                    ak[r] = na1
-                    sk[r] = ns1
-                    dk[r] = nd1
-                    ck[r] = ncf1
-                    qk = queued[k]
-                    for fo in fanouts_list[k].get(gid_of[r], ()):
-                        fr = row_of[fo]
-                        if not qk[fr]:
-                            qk[fr] = 1
-                            level_buckets[level_list[fr]].append((k, fr))
-        # PO rows copy straight from their source row; groups are small
-        # (one row per touched PO per child), so scalar is the fast path.
-        for k, r, srow, sgid in po_pairs:
-            ak = arr_v[k]
-            sk = slew_v[k]
-            dk = depth_v[k]
-            ck = cf_v[k]
-            na1 = ak[srow]
-            ns1 = sk[srow]
-            nd1 = dk[srow]
-            if (
-                na1 != ak[r]
-                or ns1 != sk[r]
-                or nd1 != dk[r]
-                or sgid != ck[r]
-            ):
-                ak[r] = na1
-                sk[r] = ns1
-                dk[r] = nd1
-                ck[r] = sgid
-                qk = queued[k]
-                for fo in fanouts_list[k].get(gid_of[r], ()):
-                    fr = row_of[fo]
-                    if not qk[fr]:
-                        qk[fr] = 1
-                        level_buckets[level_list[fr]].append((k, fr))
-
-    for k, (i, circuit, changed) in enumerate(ready):
-        # Each child's report keeps its contiguous row view of the
-        # stacked tensor — published reports are read-only, and the
-        # tensor's total size equals what per-row copies would hold.
-        out[i] = TimingReport(
-            circuit,
-            indices[k],
-            arr[k],
-            slew[k],
-            loads[k],
-            depth[k],
-            cf[k],
-            circuit.version,
-        )
-    return out
+    return [update_timing(engine, c, previous, ch) for c, ch in children]

@@ -340,8 +340,8 @@ def eval_gates_vector(
     equals the scalar table walk operation for operation, and ``argmax``
     picks the *first* index attaining the maximum arrival, matching the
     scalar ``first or at > best`` scan.  Both the full analyzer's wide
-    groups and the incremental frontier walks (sequential and stacked)
-    run through this one kernel.
+    groups and the incremental frontier walk run through this one
+    kernel.
     """
     at = a + lookup_many(cell.arc.delay, s, load[:, None])
     j = np.argmax(at, axis=1)
@@ -353,16 +353,21 @@ def eval_gates_vector(
     return na, ns, nd, ncf
 
 
-def fork_stacked(a: np.ndarray, count: int) -> np.ndarray:
-    """``count`` independent copies of one timing array, stacked.
+def shared_rows(old: TimingIndex, new: TimingIndex):
+    """Match ``new``'s rows to ``old``'s by sorted gate ID.
 
-    The ``(count, rows)`` fork the stacked incremental frontier mutates
-    per child — the tensor analogue of ``previous.<array>.copy()`` in
-    the per-child walk.
+    Returns ``(shared, src)``: a bool mask over ``new``'s rows marking
+    the gates ``old`` also holds, and the ``old`` row of each of them
+    in mask order.  The rebase step for a child whose gate-ID set
+    diverged from its parent's (gates added or removed): shared rows
+    copy across, the rest start fresh.
     """
-    out = np.empty((count,) + a.shape, dtype=a.dtype)
-    out[:] = a
-    return out
+    pn = old.n
+    if not pn:
+        return np.zeros(new.n, dtype=bool), np.empty(0, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(old.gids, new.gids), pn - 1)
+    shared = old.gids[pos] == new.gids
+    return shared, pos[shared]
 
 
 def eval_gate_scalar(cell, fan_timing, load: float, input_slew: float):

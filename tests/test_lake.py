@@ -337,6 +337,37 @@ class TestEvalCache:
         for key, payload in zip(keys, payloads):
             _same_payload(found[key], payload)
 
+    def test_in_flight_temp_files_are_ignored(self, tmp_path):
+        """Another writer's half-written segment / catalog entry (the
+        ``.tmp-`` file before its ``os.replace``) is neither scanned,
+        indexed, counted nor deleted."""
+        cache = EvalCache(str(tmp_path / "lake"))
+        key = b"k" * 16
+        (payload,) = _payloads(1)
+        cache.put_many(LIB, VEC, [(key, payload)])
+        whole = seg.write_segment(
+            str(tmp_path), [(_triple(), 1.0, b"x" * 64)], "whole.evs"
+        )
+        with open(whole, "rb") as f:
+            data = f.read()
+        tmp_seg = os.path.join(cache.segments_dir, ".tmp-seg-x.evs")
+        with open(tmp_seg, "wb") as f:
+            f.write(data[:-8])  # payload still being written
+        tmp_run = os.path.join(cache.catalog.path, ".tmp-run-x.pkl")
+        with open(tmp_run, "wb") as f:
+            f.write(b"\x80")  # truncated pickle
+        fresh = EvalCache(str(tmp_path / "lake"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fresh.refresh()
+            assert fresh.catalog.runs() == []
+        assert fresh.stats()["segments"] == 1
+        assert fresh.catalog.count() == 0
+        assert fresh.compact()["records"] == 1
+        fresh.gc(max_age_s=0.0)
+        assert os.path.exists(tmp_seg)
+        assert os.path.exists(tmp_run)
+
     def test_stats_aggregate_across_instances(self, tmp_path):
         a = EvalCache(str(tmp_path / "lake"))
         a.put_many(LIB, VEC, [(b"k" * 16, _payloads(1)[0])])

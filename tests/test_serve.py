@@ -403,6 +403,33 @@ class TestRetry:
         assert result["error"] == flow.error
         assert result["evaluations"] == flow.optimization.evaluations
 
+    def test_hold_parks_job_until_interrupted(self, tmp_path):
+        """``serve.hold`` parks a job after its first streamed iteration
+        until an interrupt (here a cancel) wakes it."""
+        faults.install(FaultSchedule("serve.hold@parked=1"))
+        service = OptimizationService(
+            capacity=1, spool=str(tmp_path / "spool")
+        )
+
+        async def scenario():
+            await service.start()
+            job = service.submit(quick_spec(seed=84, tag="parked"))
+            cursor = 0
+            while not events_of(job, "iteration"):
+                cursor += len(await job.wait_events(cursor))
+            await asyncio.sleep(0.2)
+            parked = (job.state, len(events_of(job, "iteration")))
+            service.cancel(job)
+            while not job.terminal:
+                cursor += len(await job.wait_events(cursor))
+            await service.shutdown()
+            return job, parked
+
+        job, parked = asyncio.run(scenario())
+        assert parked == ("running", 1)
+        assert job.state == "cancelled"
+        assert faults.fire_counts() == {"serve.hold@parked": 1}
+
     def test_retry_budget_exhausts_to_failed(self, tmp_path):
         spec = quick_spec(seed=82, tag="doomed", max_retries=0)
         faults.install(FaultSchedule("serve.crash@doomed=1"))
@@ -501,11 +528,44 @@ class _Daemon:
         assert not self._thread.is_alive(), "daemon thread hung"
 
 
+def _hold_first_iteration(monkeypatch, hold):
+    """Run ``hold()`` on each served job's thread at its first
+    iteration boundary (after the event is streamed); returns the list
+    of job ids that reached it, in arrival order."""
+    from repro.serve import service as service_mod
+
+    reached = []
+    lock = threading.Lock()
+    orig = service_mod._StreamCallback.on_iteration
+
+    def held(cb_self, event):
+        orig(cb_self, event)
+        with lock:
+            first = cb_self.job.id not in reached
+            if first:
+                reached.append(cb_self.job.id)
+        if first:
+            hold()
+
+    monkeypatch.setattr(service_mod._StreamCallback, "on_iteration", held)
+    return reached
+
+
 class TestHttp:
-    def test_two_clients_stream_live_and_match_serial(self, tmp_path):
+    def test_two_clients_stream_live_and_match_serial(
+        self, tmp_path, monkeypatch
+    ):
         """Two concurrent clients, each streaming its own job; both
         streams are complete, ordered, and equal to serial ground
         truth."""
+        # Both jobs must reach their first iteration boundary before
+        # either may go on: the barrier makes "ran concurrently" a
+        # state the jobs create, not a race a short run can lose.  A
+        # job that never meets its partner breaks the barrier and
+        # fails instead of passing alone.
+        both_running = _hold_first_iteration(
+            monkeypatch, threading.Barrier(2, timeout=120).wait
+        )
         with _Daemon(tmp_path, capacity=2) as client:
             assert client.health()["status"] == "ok"
             assert "Ours" in client.methods()
@@ -548,6 +608,7 @@ class TestHttp:
             assert result["netlist"] == write_verilog(flow.circuit)
             assert result["error"] == flow.error
         # capacity=2 and both submitted together: they ran concurrently.
+        assert len(both_running) == 2
         spans = [
             (s["started_at"], s["finished_at"]) for s in snapshots
         ]
@@ -588,17 +649,36 @@ class TestHttp:
                 )
             assert excinfo.value.status == 400
 
-    def test_queue_full_503_carries_retry_after(self, tmp_path):
+    def test_queue_full_503_carries_retry_after(
+        self, tmp_path, monkeypatch
+    ):
         """Back-pressure is advertised, not just thrown: the 503 tells
         clients how long to back off, and the client surfaces it."""
+        # Park the running job at its first iteration boundary so the
+        # queue can only fill: a quick job finishing between submits
+        # would otherwise drain it as fast as it is filled.
+        release = threading.Event()
+        parked = _hold_first_iteration(
+            monkeypatch, lambda: release.wait(timeout=120)
+        )
         with _Daemon(tmp_path, capacity=1, max_pending=1) as client:
             ids, excinfo = [], None
-            for seed in range(91, 96):
-                try:
-                    ids.append(client.submit(quick_spec(seed=seed))["id"])
-                except ServeError as exc:
-                    excinfo = exc
-                    break
+            try:
+                ids.append(client.submit(quick_spec(seed=91))["id"])
+                deadline = time.monotonic() + 120
+                while not parked:
+                    assert time.monotonic() < deadline, "job never ran"
+                    time.sleep(0.01)
+                for seed in range(92, 96):
+                    try:
+                        ids.append(
+                            client.submit(quick_spec(seed=seed))["id"]
+                        )
+                    except ServeError as exc:
+                        excinfo = exc
+                        break
+            finally:
+                release.set()
             assert excinfo is not None, "queue never filled"
             assert excinfo.status == 503
             assert excinfo.retry_after == 1.0
@@ -633,6 +713,16 @@ class _ScriptedConn:
 
 def _frame(i, kind="iteration"):
     return json.dumps({"type": kind, "n": i}).encode() + b"\n"
+
+
+def _arm_serve_hold(env):
+    """Park the daemon's jobs after their first streamed iteration
+    until they are interrupted, so a signal sent once an iteration
+    arrives always lands mid-run (a quick job would otherwise race it
+    to completion)."""
+    env["REPRO_FAULTS"] = ";".join(
+        c for c in (env.get("REPRO_FAULTS"), "serve.hold=1") if c
+    )
 
 
 class TestClientReconnect:
@@ -724,7 +814,8 @@ class TestClientReconnect:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in ("src", env.get("PYTHONPATH")) if p
         )
-        env.pop("REPRO_CACHE", None)  # keep the run slow enough
+        env.pop("REPRO_CACHE", None)
+        _arm_serve_hold(env)
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
@@ -767,10 +858,10 @@ class TestDrain:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in ("src", env.get("PYTHONPATH")) if p
         )
-        # A warm lake (e.g. CI's cold+warm cached job) could race the
-        # job to completion before SIGTERM lands mid-run; the drain
-        # path under test is cache-independent, so pin it cold.
+        # The drain path under test is cache-independent, so pin the
+        # lake cold; the hold keeps the job mid-run until SIGTERM.
         env.pop("REPRO_CACHE", None)
+        _arm_serve_hold(env)
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
@@ -785,7 +876,6 @@ class TestDrain:
             line = proc.stderr.readline()
             assert "listening on " in line, line
             url = line.rsplit(" ", 1)[-1].strip()
-            # A job long enough that SIGTERM lands mid-run.
             spec = quick_spec(seed=71, effort=0.6, vectors=256)
             client = ServeClient(url, timeout=120)
             job = client.submit(spec)

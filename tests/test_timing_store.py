@@ -542,7 +542,7 @@ class TestSeededRunsStillIdentical:
 
 
 # ----------------------------------------------------------------------
-# stacked incremental frontier: update_timing_batch bit-identity
+# brood-level incremental timing: update_timing_batch bit-identity
 # ----------------------------------------------------------------------
 def _random_lac_child(circuit, rng):
     """A safe LAC child of ``circuit`` carrying a valid provenance record."""
@@ -581,7 +581,9 @@ def _fanout_heavy_circuit():
 
 
 class TestStackedFrontier:
-    """``update_timing_batch`` == per-child ``update_timing``, bit for bit."""
+    """Brood-level timing (``update_timing_batch``, the per-child
+    frontier walk ``evaluate_batch`` runs) == ``update_timing`` ==
+    ``analyze``, bit for bit."""
 
     def test_matches_per_child_and_full_on_adder(self, library):
         circuit = build_adder(8)
@@ -656,8 +658,8 @@ class TestStackedFrontier:
 
     def test_diverged_gid_set_falls_back(self, library):
         # One child deleted a gate: its row space no longer matches the
-        # parent report, so it must take the per-child fallback while
-        # its siblings still ride the stacked frontier.
+        # parent report, so its walk rebases onto its own row index
+        # while its siblings share the parent's.
         circuit = build_adder(6)
         engine = STAEngine(library)
         previous = engine.analyze(circuit)
@@ -694,11 +696,7 @@ class TestStackedFrontier:
     @pytest.mark.parametrize(
         "depth_mode", [DepthMode.UNIT, DepthMode.DELAY]
     )
-    def test_eval_batch_identity_under_ties(
-        self, tie_library, depth_mode, monkeypatch
-    ):
-        import repro.core.batch as batch_mod
-
+    def test_eval_batch_identity_under_ties(self, tie_library, depth_mode):
         rng = random.Random(7)
         circuit = _random_tie_circuit(rng)
         ctx = EvalContext.build(
@@ -713,10 +711,8 @@ class TestStackedFrontier:
         parent = ctx.reference_eval()
         children = [_random_lac_child(circuit, rng) for _ in range(6)]
         copies = [c.copy() for c in children]  # copies keep provenance
-        monkeypatch.setattr(batch_mod, "USE_STACKED_TIMING", True)
         got = evaluate_batch(ctx, [(c, parent) for c in children])
-        monkeypatch.setattr(batch_mod, "USE_STACKED_TIMING", False)
-        ref = evaluate_batch(ctx, [(c, parent) for c in copies])
+        ref = [evaluate_incremental(ctx, c, parent) for c in copies]
         for g, r in zip(got, ref):
             assert g.fitness == r.fitness
             assert g.depth == r.depth
@@ -748,15 +744,10 @@ class TestStackedFrontier:
             assert g.error == r.error
             _assert_same_timing(g.circuit, g.report, r.report)
 
-    def test_dcgwo_identity_with_stacked_frontier_on_off(
-        self, library, monkeypatch
-    ):
-        import repro.core.batch as batch_mod
-
+    def test_dcgwo_identity_with_batch_on_off(self, library):
         circuit = build_adder(6)
         results = []
-        for flag in (True, False):
-            monkeypatch.setattr(batch_mod, "USE_STACKED_TIMING", flag)
+        for use_batch in (True, False):
             ctx = EvalContext.build(
                 circuit, library, ErrorMode.ER, num_vectors=128, seed=9
             )
@@ -764,7 +755,7 @@ class TestStackedFrontier:
                 population_size=5,
                 imax=3,
                 seed=33,
-                use_batch=True,
+                use_batch=use_batch,
                 use_parallel=False,
             )
             results.append(DCGWO(ctx, 0.05, cfg).optimize())

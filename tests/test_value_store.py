@@ -7,8 +7,9 @@ Pins the layer this PR adds under the evaluation hot path:
 * :class:`repro.sim.ValueStore` keeps the historical dict ``ValueMap``
   face (getitem / iter / contains / constants) and simulate's rows are
   bit-identical to a verbatim port of the dict-based walk;
-* ``resimulate_cone`` takes the matrix path for covering stores and the
-  dict fallback for diverged gate-ID sets, both matching ``simulate``;
+* ``resimulate_cone`` shares the base's index for covering stores and
+  rebases onto the child's own index for diverged gate-ID sets (gates
+  removed or added), both matching ``simulate``;
 * the stacked multi-child batch walk equals ``evaluate_incremental``
   per item across tie-heavy LAC generations, crossover generations,
   structure-diverged fallbacks, and ``jobs=2`` shard runs;
@@ -60,6 +61,7 @@ from repro.sim import (
 )
 from repro.sim.error import _unpack_matrix
 from repro.sim.store import value_rows
+from repro.sta.store import timing_index
 
 
 @pytest.fixture(scope="module")
@@ -197,8 +199,6 @@ class TestValueStore:
         assert np.array_equal(as_dict[circuit.po_ids[0]], store[circuit.po_ids[0]])
 
     def test_rows_shared_with_timing_index(self, library):
-        from repro.sta.store import timing_index
-
         circuit = build_adder(4)
         vectors = random_vectors(len(circuit.pi_ids), 64, seed=1)
         store = simulate(circuit, vectors)
@@ -238,7 +238,7 @@ class TestValueStore:
         for gid in child.fanins:
             assert np.array_equal(fast[gid], full[gid]), gid
 
-    def test_resimulate_cone_diverged_falls_back_to_dict(self, library):
+    def test_resimulate_cone_removed_gate_builds_own_store(self, library):
         circuit = build_adder(6)
         vectors = random_vectors(len(circuit.pi_ids), 256, seed=5)
         base = simulate(circuit, vectors)
@@ -247,10 +247,29 @@ class TestValueStore:
         remove_dangling(child)  # gate-ID set now differs from the base
         assert not base.covers(child)
         fast = resimulate_cone(child, vectors, base, changed)
-        assert not isinstance(fast, ValueStore)
+        assert isinstance(fast, ValueStore)
+        assert fast.index is timing_index(child)
         full = simulate(child, vectors)
-        for gid in child.fanins:
-            assert np.array_equal(fast[gid], full[gid]), gid
+        assert np.array_equal(fast.matrix, full.matrix)
+
+    def test_resimulate_cone_added_gate_builds_own_store(self, library):
+        circuit = build_adder(6)
+        vectors = random_vectors(len(circuit.pi_ids), 256, seed=6)
+        base = simulate(circuit, vectors)
+        child = circuit.copy()
+        target = child.logic_ids()[5]
+        a, b = child.fanins[target][:2]
+        # A fresh gate takes over the target's first fan-in pin.  It
+        # gets the highest ID, so sorted-gid order is no longer
+        # topological and the walk runs the topological schedule.
+        added = child.add_gate("AND2D1", (a, b))
+        child.set_fanins(target, (added,) + child.fanins[target][1:])
+        assert not base.covers(child)
+        fast = resimulate_cone(child, vectors, base, [added, target])
+        assert isinstance(fast, ValueStore)
+        assert fast.index is timing_index(child)
+        full = simulate(child, vectors)
+        assert np.array_equal(fast.matrix, full.matrix)
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +352,9 @@ class TestStackedBatch:
         ev = evaluate_incremental(ctx, child, parent)
         assert isinstance(ev.values, ValueStore)
         packed = _pack_eval(ev)
-        assert packed[2] is None  # no per-gate key array on the wire
+        # The value slot is the raw dense matrix: no per-gate key array
+        # on the wire.
+        assert packed[2] is ev.values.matrix
         clone = _unpack_eval(pickle.loads(pickle.dumps(packed)))
         _assert_same_eval(ev, clone)
 
