@@ -15,8 +15,8 @@ R2  A ``Circuit`` obtained from ``.copy()`` and mutated in the same
 R3  The process-wide registries (the lake ``_OPEN`` map, the dispatcher
     singleton ``ctx._dispatcher``, the tri-state ``ctx.lake``) may only
     be touched inside their lock-protected helpers.
-R4  Core evaluation paths (``core/``, ``sta/``, ``sim/``) must be
-    deterministic: no wall-clock reads, no global-RNG draws, no
+R4  Core evaluation paths (``core/``, ``sta/``, ``sim/``, ``postopt/``)
+    must be deterministic: no wall-clock reads, no global-RNG draws, no
     ``id()``-ordered iteration.
 R5  ``is_const()`` must not be called inside loops in the evaluation
     paths — constants are the only negative gate IDs, so hot code tests
@@ -117,7 +117,7 @@ GUARDED_ATTRS: Dict[str, Set[str]] = {
 }
 
 #: Path fragments selecting the deterministic evaluation core (R4/R5).
-EVAL_PATH_PARTS = ("/core/", "/sta/", "/sim/")
+EVAL_PATH_PARTS = ("/core/", "/sta/", "/sim/", "/postopt/")
 
 #: ``time`` module attributes that read the wall clock.
 _CLOCK_ATTRS = frozenset(

@@ -50,6 +50,19 @@ CONST1 = -2
 PI_CELL = "PI"
 PO_CELL = "PO"
 
+#: Memo keys that read only the fan-in adjacency and the port lists,
+#: never ``cells``, so a cell swap leaves them valid
+#: (:meth:`Circuit.resized_copy` carries them).  ``timing_index`` and
+#: ``timing_levels`` are stored by :mod:`repro.sta.store`.
+_CELL_FREE_MEMOS = (
+    "fanouts",
+    "live",
+    "topo",
+    "gid_topo",
+    "timing_index",
+    "timing_levels",
+)
+
 
 def is_const(gid: int) -> bool:
     """True for the reserved constant IDs."""
@@ -592,6 +605,32 @@ class Circuit:
             c.provenance = Provenance(self, self._version, frozenset())
         c._prov_version = c._version
         return c
+
+    def resized_copy(self, gid: int, cell: str) -> "Circuit":
+        """A copy with gate ``gid`` swapped to library cell ``cell``.
+
+        The swap is declared to the copy's provenance record, and every
+        :data:`_CELL_FREE_MEMOS` entry this circuit holds is carried
+        over: a cell swap rewrites no fan-in tuple, so the copy's
+        fan-out map, live set, topological order and timing
+        index/levels are this circuit's.  Memos that read ``cells``
+        (area, timing plan, structure keys, record digests) are rebuilt
+        lazily as usual.  With the levels carried,
+        :func:`repro.sta.update_timing` retimes the copy on this
+        circuit's level schedule instead of one row per level.
+        """
+        child = self.copy()
+        since = child._version
+        child.set_cell(gid, cell)
+        child.extend_provenance((gid,), since, 1)
+        carried = {}
+        for key in _CELL_FREE_MEMOS:
+            value = self._cached(key)
+            if value is not None:
+                carried[key] = value
+        child._cache = carried
+        child._cache_version = child._version
+        return child
 
     def __getstate__(self) -> Dict[str, Any]:
         """Serialize with plain dicts (tracked dicts hold an owner ref).

@@ -3,13 +3,17 @@
 Plays Design Compiler's post-optimization role: without touching the
 structure, repeatedly upsize the critical-path gate with the best
 estimated delay gain while the total area stays within ``area_con``.
-Each pass runs one full STA and estimates a move's net gain locally:
+One full STA times the input; each pass then estimates a move's net
+gain locally:
 
     gain = (old cell delay - new cell delay at the same slew/load)
          - (penalty on each fan-in driver from the increased pin load)
 
-which avoids a full STA per trial move and keeps the resizer usable
-inside benchmark sweeps.
+and verifies only the best-estimate move, on a resized copy retimed
+incrementally by :func:`repro.sta.update_timing` (the optimizer's
+timing entry point, bit-identical to a full STA).  The copy carries
+the parent's fan-in-derived memos, so a verification costs the
+resized gate's fan-out cone, not a whole-circuit analysis.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..cells import Library
-from ..netlist import Circuit, is_const
-from ..sta import STAEngine, path_logic_gates
+from ..netlist import Circuit
+from ..sta import STAEngine, path_logic_gates, update_timing
 
 
 @dataclass(frozen=True)
@@ -66,24 +70,18 @@ def _estimate_gain(
     old_cell = library.cell(circuit.cells[gid])
     load = float(load_a[row[gid]])
     # Worst input slew among fan-ins (matches the arc STA would pick).
-    slews = [
-        float(slew_a[row[fi]])
-        for fi in circuit.fanins[gid]
-        if not is_const(fi)
-    ]
+    slews = [float(slew_a[row[fi]]) for fi in circuit.fanins[gid] if fi >= 0]
     slew = max(slews) if slews else 10.0
     gain = old_cell.delay(slew, load) - new_cell.delay(slew, load)
     # Penalty: every fan-in driver sees the pin capacitance increase.
     dcap = new_cell.input_cap - old_cell.input_cap
     if dcap > 0.0:
         for fi in set(circuit.fanins[gid]):
-            if is_const(fi) or circuit.is_pi(fi):
+            if fi < 0 or circuit.is_pi(fi):
                 continue
             drv = library.cell(circuit.cells[fi])
             drv_slews = [
-                float(slew_a[row[g]])
-                for g in circuit.fanins[fi]
-                if not is_const(g)
+                float(slew_a[row[g]]) for g in circuit.fanins[fi] if g >= 0
             ]
             drv_slew = max(drv_slews) if drv_slews else 10.0
             drv_load = float(load_a[row[fi]])
@@ -105,9 +103,14 @@ def resize_for_timing(
 
     The circuit is modified in place.  A move is accepted only when it
     keeps total live area within ``area_con``, targets a gate on the
-    current critical path, and its estimated gain exceeds ``min_gain``.
-    A verification STA after each move rejects swaps that made the true
-    CPD worse (the local estimate is optimistic around reconvergence).
+    current critical path, its estimated gain exceeds ``min_gain``, and
+    it lowers the true CPD (the local estimate is optimistic around
+    reconvergence).  The input gets one full STA; every move is tried
+    on a :meth:`~repro.netlist.Circuit.resized_copy` of the last
+    accepted circuit and retimed incrementally.  A rejected trial is
+    dropped and ends the loop, since every remaining candidate had a
+    smaller estimate; the accepted cells are written back into
+    ``circuit`` on exit.
     """
     engine = sta or STAEngine(library)
     result = SizingResult()
@@ -116,18 +119,18 @@ def resize_for_timing(
     result.cpd_before = report.cpd
     result.area_before = area
 
-    current_cpd = report.cpd
+    work = circuit
     for _ in range(max_moves):
-        path_gates = path_logic_gates(circuit, report.critical_path())
+        path_gates = path_logic_gates(work, report.critical_path())
         best: Optional[Tuple[float, int, object]] = None
         for gid in path_gates:
-            new_cell = library.upsize(circuit.cells[gid])
+            new_cell = library.upsize(work.cells[gid])
             if new_cell is None:
                 continue
-            old_area = library.cell(circuit.cells[gid]).area
+            old_area = library.cell(work.cells[gid]).area
             if area + (new_cell.area - old_area) > area_con:
                 continue
-            gain = _estimate_gain(circuit, library, report, gid, new_cell)
+            gain = _estimate_gain(work, library, report, gid, new_cell)
             if gain <= min_gain:
                 continue
             if best is None or gain > best[0]:
@@ -135,26 +138,23 @@ def resize_for_timing(
         if best is None:
             break
         gain, gid, new_cell = best
-        old_name = circuit.cells[gid]
-        circuit.set_cell(gid, new_cell.name)
-        new_report = engine.analyze(circuit)
-        if new_report.cpd >= current_cpd:
-            circuit.set_cell(gid, old_name)  # revert: estimate was wrong
-            # A re-analysis with the reverted cell equals `report`; stop
-            # here — every remaining candidate had a smaller estimate.
-            break
-        report = new_report
-        current_cpd = new_report.cpd
-        area = circuit.area(library)
+        trial = work.resized_copy(gid, new_cell.name)
+        trial_report = update_timing(engine, trial, report, (gid,))
+        if trial_report.cpd >= report.cpd:
+            break  # optimistic estimate; the rest estimated less
         result.moves.append(
             SizingMove(
                 gate=gid,
-                from_cell=old_name,
+                from_cell=work.cells[gid],
                 to_cell=new_cell.name,
                 estimated_gain=gain,
             )
         )
+        work, report = trial, trial_report
+        area = work.area(library)
 
-    result.cpd_after = current_cpd
+    for gid in dict.fromkeys(move.gate for move in result.moves):
+        circuit.set_cell(gid, work.cells[gid])
+    result.cpd_after = report.cpd
     result.area_after = area
     return result

@@ -292,6 +292,28 @@ class TestLintRules:
         )
         assert _rules(findings) == ["R5"]
 
+    def test_r5_is_const_in_postopt_loop_flagged(self, tmp_path):
+        findings = _lint(
+            tmp_path,
+            """
+            def worst_slew(fanins, slews):
+                return max(slews[fi] for fi in fanins if not is_const(fi))
+            """,
+            subdir="postopt",
+        )
+        assert _rules(findings) == ["R5"]
+
+    def test_r5_sign_test_in_postopt_loop_ok(self, tmp_path):
+        findings = _lint(
+            tmp_path,
+            """
+            def worst_slew(fanins, slews):
+                return max(slews[fi] for fi in fanins if fi >= 0)
+            """,
+            subdir="postopt",
+        )
+        assert findings == []
+
     def test_r5_outside_loop_ok(self, tmp_path):
         findings = _lint(
             tmp_path,

@@ -456,24 +456,14 @@ class TestRetry:
         assert job.retries == 0
         assert not events_of(job, "retry")
 
-    def test_job_deadline_fails_the_job(self, tmp_path, monkeypatch):
+    def test_job_deadline_fails_the_job(self, tmp_path):
         """A per-job wall-clock deadline interrupts the run and marks
         the job failed — it does not park as paused or retry forever."""
-        from repro.serve import service as service_mod
-
-        spec = quick_spec(seed=83, deadline_s=0.05)
-        # Pace the run so it is still mid-flight when the watchdog's
-        # first scan lands (a quick job can finish inside one scan
-        # interval and the deadline would never be observed).
-        orig = service_mod._StreamCallback.on_iteration
-
-        def slowed(cb_self, event):
-            orig(cb_self, event)
-            time.sleep(0.3)
-
-        monkeypatch.setattr(
-            service_mod._StreamCallback, "on_iteration", slowed
-        )
+        spec = quick_spec(seed=83, deadline_s=0.05, tag="late")
+        # Park the run at its first iteration so it is still mid-flight
+        # when the watchdog's scan lands (a quick job can finish inside
+        # one scan interval); the watchdog's interrupt wakes it.
+        faults.install(FaultSchedule("serve.hold@late=1"))
         service = OptimizationService(
             capacity=1, spool=str(tmp_path / "spool")
         )
