@@ -48,7 +48,6 @@ MEMO_ACCESSORS = frozenset(
         "timing_index",
         "timing_levels",
         "timing_plan",
-        "po_cones",
         "value_rows",
         "value_store_index",
         "_cached",

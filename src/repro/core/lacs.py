@@ -80,10 +80,15 @@ def applied_copy(circuit: Circuit, lac: LAC, name: Optional[str] = None) -> Circ
     The child carries a provenance record whose ``changed`` set is the
     rewritten consumer gates (merged with any delta the source circuit
     already carried), enabling cone-limited incremental evaluation.
+    Safety is checked on the source, which holds the structure memos
+    (fan-out map, TFO cones) the check needs; the fresh copy has none.
+    Raises ``ValueError`` for unsafe changes, leaving the source as is.
     """
+    if not is_safe(circuit, lac):
+        raise ValueError(f"unsafe LAC {lac}")
     child = circuit.copy(name)
     base_version = child.version
-    rewritten = apply_lac(child, lac)
+    rewritten = child.substitute(lac.target, lac.switch)
     # substitute() performs exactly one fan-in write per rewritten gate.
     child.extend_provenance(rewritten, base_version, len(rewritten))
     return child

@@ -53,8 +53,9 @@ may re-route freely without changing a single result bit.  Error
 against a respawned worker (with fault injection suppressed), and a
 second error is deterministic — a poisoned cell library, a bug — so the
 pool is torn down and the original exception re-raised, exactly the
-PR-3 contract.  Workers are daemonic as a last-resort backstop, and
-deterministic fault injection (:mod:`repro.faults`, sites
+PR-3 contract.  Workers are daemonic as a last-resort backstop and
+exit on their own once the dispatcher process dies.  Deterministic
+fault injection (:mod:`repro.faults`, sites
 ``worker.kill``/``worker.hang``/``worker.poison``) exercises every one
 of these paths in the chaos CI job.
 
@@ -119,6 +120,10 @@ DEFAULT_METHOD_TIMEOUT = 3600.0
 #: Recovery attempts after the first failed dispatch before the
 #: dispatcher degrades to serial evaluation (``REPRO_WORKER_RETRIES``).
 DEFAULT_WORKER_RETRIES = 2
+
+#: Seconds an idle worker waits on its pipe before checking that its
+#: dispatcher is still alive (see :func:`_worker_main`).
+PARENT_POLL_INTERVAL = 0.5
 
 
 class WorkerCrashError(faults.TransientError):
@@ -442,13 +447,20 @@ def _worker_run(ctx: EvalContext, method: str, flow_config: Any) -> Any:
     return session.run(method)
 
 
-def _worker_main(conn: Connection, spec: _ContextSpec) -> None:
+def _worker_main(conn: Connection, spec: _ContextSpec, parent_pid: int) -> None:
     """Worker loop: build the cloned context lazily, serve shard messages.
 
     The context build is *not* done eagerly at process start: a failing
     build (e.g. a poisoned cell library) must surface as an ordinary
     error reply to the first message — raising out of the loop would
     leave the dispatcher waiting on a dead pipe.
+
+    The loop also exits once the dispatcher process ``parent_pid`` is
+    gone.  A blocking ``recv`` cannot notice that on its own: forked
+    siblings inherit this pipe's parent end, so a SIGKILLed dispatcher
+    leaves the pipe open and the worker would wait forever.  Idle
+    workers therefore poll with a bound and check whether they have
+    been reparented.
     """
     global _IN_WORKER
     _IN_WORKER = True
@@ -458,6 +470,10 @@ def _worker_main(conn: Connection, spec: _ContextSpec) -> None:
     cache: Dict[bytes, CircuitEval] = {}
     while True:
         try:
+            if not conn.poll(PARENT_POLL_INTERVAL):
+                if os.getppid() != parent_pid:
+                    break
+                continue
             msg = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):
             break
@@ -625,7 +641,7 @@ class ShardDispatcher:
         parent_conn, child_conn = self._mp.Pipe()
         proc = self._mp.Process(
             target=_worker_main,
-            args=(child_conn, self._spec),
+            args=(child_conn, self._spec, os.getpid()),
             daemon=True,
             name=f"repro-shard-{index}",
         )

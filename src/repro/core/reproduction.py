@@ -14,6 +14,16 @@ selected cone are filled from the fitter parent so the child is complete.
 All population members share the accurate circuit's gate ID space and
 preserve its topological order (see ``core.lacs``), so any cone mixture
 is acyclic by construction.
+
+The operator is sized by the parents' difference, not by the circuit.
+The child starts as a copy of the fitter parent, so the only gates it
+can change are those where the other parent differs (fan-in tuple, or
+cell on a non-PO gate) *and* the first cone in Level order covering the
+gate is the other parent's.  Those few gates are found first; the first
+covering cone is then decided per gate from each parent's memoized
+transitive fan-out, and no cone is ever walked.  Child, provenance
+``changed`` set and version delta are exactly those of walking every
+selected cone with first-write-wins (pinned by an oracle test).
 """
 
 from __future__ import annotations
@@ -22,10 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from ..netlist import Circuit
-from ..sta.store import timing_index
+from ..netlist import PO_CELL, Circuit
 from .fitness import CircuitEval, EvalContext
 
 #: Error floor: half an LSB of what the Monte-Carlo batch can resolve.
@@ -71,84 +78,6 @@ def po_levels(
     return levels
 
 
-class POCones:
-    """Per-PO TFI reachability of one circuit as dense bool masks.
-
-    ``masks`` is ``(index.n, num_pos)`` bool laid out by the shared
-    sorted-gid row numbering (:func:`repro.sta.store.timing_index`):
-    ``masks[r, p]`` is True when the gate on row ``r`` belongs to PO
-    ``p``'s cone (the PO itself included — exactly
-    ``transitive_fanin(po, include_self=True)`` minus constants).
-    Memoized per circuit structure version; the reproduction operator
-    intersects these masks instead of walking frozensets per PO, which
-    is the crossover cone-write cost the ROADMAP flagged.
-    """
-
-    __slots__ = ("index", "masks", "po_slot", "_sets")
-
-    def __init__(self, index, masks: np.ndarray, po_slot: Dict[int, int]):
-        self.index = index
-        self.masks = masks
-        self.po_slot = po_slot
-        self._sets: Dict[int, frozenset] = {}
-
-    def mask(self, po: int) -> np.ndarray:
-        """Bool row mask of ``po``'s cone (a column view; read-only)."""
-        return self.masks[:, self.po_slot[po]]
-
-    def cone(self, po: int) -> frozenset:
-        """The cone as a gate-ID frozenset — the historical set-based
-        API, materialized lazily from the mask for existing callers."""
-        cached = self._sets.get(po)
-        if cached is None:
-            gids = self.index.gids
-            cached = frozenset(
-                int(gids[r]) for r in np.flatnonzero(self.mask(po))
-            )
-            self._sets[po] = cached
-        return cached
-
-
-def po_cones(circuit: Circuit) -> POCones:
-    """The circuit's :class:`POCones`, memoized per structure version.
-
-    Built with one reverse-topological sweep that ORs each gate's mask
-    row into its fan-ins — O(V · num_pos / 8) bytes of work instead of
-    one set-walk per PO.
-    """
-    cached = circuit._cached("po_cones")
-    if cached is not None:
-        return cached
-    index = timing_index(circuit)
-    row = index.row
-    fanins = circuit.fanins
-    po_ids = circuit.po_ids
-    po_slot = {po: p for p, po in enumerate(po_ids)}
-    masks = np.zeros((index.n, len(po_ids)), dtype=bool)
-    for po in po_ids:
-        masks[row[po], po_slot[po]] = True
-    if circuit.gid_order_topo():
-        # Rows are sorted gate IDs = a topological order here, so the
-        # sweep walks rows descending without building the topo order.
-        gids = index.gids
-        for r in range(index.n - 1, -1, -1):
-            m = masks[r]
-            if m.any():
-                for fi in fanins[int(gids[r])]:
-                    if fi >= 0:
-                        fr = row[fi]
-                        np.logical_or(masks[fr], m, out=masks[fr])
-    else:
-        for gid in reversed(circuit.topological_order()):
-            m = masks[row[gid]]
-            if m.any():
-                for fi in fanins[gid]:
-                    if fi >= 0:
-                        fr = row[fi]
-                        np.logical_or(masks[fr], m, out=masks[fr])
-    return circuit._store("po_cones", POCones(index, masks, po_slot))
-
-
 def circuit_reproduce(
     ev_a: CircuitEval,
     ev_b: CircuitEval,
@@ -158,10 +87,14 @@ def circuit_reproduce(
     """Cross two evaluated circuits into a reproduced child.
 
     Both parents must be population members derived from the same
-    accurate circuit (identical gate ID space and port lists).
+    accurate circuit: identical PO lists and gate-ID set, else
+    ``ValueError``.
     """
-    if ev_a.circuit.po_ids != ev_b.circuit.po_ids:
+    ca, cb = ev_a.circuit, ev_b.circuit
+    if ca.po_ids != cb.po_ids:
         raise ValueError("parents expose different PO sets")
+    if ca.fanins.keys() != cb.fanins.keys():
+        raise ValueError("parents carry different gate-ID sets")
     weights = weights or LevelWeights.paper_defaults(ctx)
     levels_a = po_levels(ev_a, ctx, weights)
     levels_b = po_levels(ev_b, ctx, weights)
@@ -169,79 +102,52 @@ def circuit_reproduce(
     # Fill every gate from the fitter parent first; selected cones then
     # overwrite so un-coned (dangling) gates stay complete, matching the
     # paper's completeness rule for gates outside every PO-TFI pair.
-    base, other = (
-        (ev_a, ev_b) if ev_a.fitness >= ev_b.fitness else (ev_b, ev_a)
-    )
-    child = base.circuit.copy()
+    base, other = (ca, cb) if ev_a.fitness >= ev_b.fitness else (cb, ca)
+    child = base.copy()
 
     # Choose the parent per PO and write cones in descending Level order:
-    # shared gates accept adjacency only from the first write-in.
-    choices: List[Tuple[float, int, Circuit]] = []
-    for po in child.po_ids:
-        if levels_a[po] >= levels_b[po]:
-            choices.append((levels_a[po], po, ev_a.circuit))
-        else:
-            choices.append((levels_b[po], po, ev_b.circuit))
-    choices.sort(key=lambda item: (-item[0], item[1]))
+    # shared gates accept adjacency only from the first write-in.  Each
+    # entry is (-Level, po, cone comes from `other`); POs are unique, so
+    # the flag never takes part in the sort.
+    choices: List[Tuple[float, int, bool]] = []
+    for po in ca.po_ids:
+        la, lb = levels_a[po], levels_b[po]
+        winner = ca if la >= lb else cb
+        choices.append((-max(la, lb), po, winner is other))
+    choices.sort()
 
-    changed: set = set()
-    base_version = child.version
+    # Writing a gate from `base` is a no-op, so only gates where `other`
+    # differs can change, and only when the first cone covering them is
+    # one of `other`'s.  Cones are TFIs, so "po's cone covers g" is
+    # "po lies in g's TFO" — one memoized walk per (gate, parent).
+    bf, bc = base.fanins, base.cells
+    of, oc = other.fanins, other.cells
+    diff = [
+        g
+        for g, fis in bf.items()
+        if fis != of[g] or (bc[g] != oc[g] and bc[g] != PO_CELL)
+    ]
+    since = child.version
+    changed: List[int] = []
     writes = 0
-    ca, cb = ev_a.circuit, ev_b.circuit
-    if ca.fanins.keys() == cb.fanins.keys():
-        # Same gate-ID set (every population pair): both parents' cone
-        # masks share one row numbering, so first-write-wins reduces to
-        # `mask & ~written` per PO instead of a frozenset walk — only
-        # the genuinely new rows of each cone are ever visited.  The
-        # write set (and therefore the child and its provenance) is
-        # identical to the set-based walk: write order within one cone
-        # cannot matter, every write reads the same parent.
-        cones = {id(ca): po_cones(ca), id(cb): po_cones(cb)}
-        gids = cones[id(ca)].index.gids
-        written_mask = np.zeros(len(gids), dtype=bool)
-        for _, po, parent in choices:
-            mask = cones[id(parent)].mask(po)
-            fresh = mask & ~written_mask
-            written_mask |= mask
-            for r in np.flatnonzero(fresh):
-                gid = int(gids[r])
-                # Skip no-op writes: the child starts as a copy of
-                # ``base``, so a differing current value means "differs
-                # from base" — exactly the changed set incremental
-                # evaluation needs (and skipping identical writes
-                # avoids needless cache churn).
-                if child.fanins[gid] != parent.fanins[gid]:
-                    child.fanins[gid] = parent.fanins[gid]
-                    changed.add(gid)
-                    writes += 1
-                if (
-                    not child.is_po(gid)
-                    and child.cells[gid] != parent.cells[gid]
-                ):
-                    child.cells[gid] = parent.cells[gid]
-                    changed.add(gid)
-                    writes += 1
-    else:
-        # Gate-ID sets diverged (outside the population protocol): keep
-        # the historical per-PO set walk over the memoized TFI cones.
-        written: set = set()
-        for _, po, parent in choices:
-            for gid in parent.transitive_fanin(po, include_self=True):
-                if gid in written:
-                    continue
-                written.add(gid)
-                if child.fanins[gid] != parent.fanins[gid]:
-                    child.fanins[gid] = parent.fanins[gid]
-                    changed.add(gid)
-                    writes += 1
-                if (
-                    not child.is_po(gid)
-                    and child.cells[gid] != parent.cells[gid]
-                ):
-                    child.cells[gid] = parent.cells[gid]
-                    changed.add(gid)
-                    writes += 1
-    child.extend_provenance(changed, base_version, writes)
+    for g in diff:
+        reach = (
+            base.transitive_fanout(g, include_self=True),
+            other.transitive_fanout(g, include_self=True),
+        )
+        first_from_other = next(
+            (flag for _, po, flag in choices if po in reach[flag]), False
+        )
+        if not first_from_other:
+            continue  # base's cone comes first, or no selected cone has g
+        if bf[g] != of[g]:
+            child.fanins[g] = of[g]
+            writes += 1
+        if bc[g] != PO_CELL and bc[g] != oc[g]:
+            child.cells[g] = oc[g]
+            writes += 1
+        changed.append(g)
+    child.extend_provenance(changed, since, writes)
     return child
 
 

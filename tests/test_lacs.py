@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import LAC, applied_copy, apply_lac, is_safe
-from repro.netlist import CONST0, CONST1, validate
+from repro.netlist import CONST0, CONST1, Circuit, validate
 
 
 class TestLACKind:
@@ -82,3 +82,45 @@ class TestApply:
         assert fig3.fanins[11] == (5, 8)
         assert child.fanins[11] == (5, CONST0)
         validate(child)
+
+    def test_applied_copy_unsafe_raises_source_untouched(self, fig3):
+        before = dict(fig3.fanins)
+        version = fig3.version
+        with pytest.raises(ValueError, match="unsafe LAC"):
+            applied_copy(fig3, LAC(target=8, switch=11))
+        assert fig3.version == version
+        assert dict(fig3.fanins) == before
+
+    def test_applied_copy_checks_safety_on_the_source(
+        self, fig3, monkeypatch
+    ):
+        """The fresh copy has no memos: no fan-out map may be built on it
+        before its substitution (the source answers ``is_safe``)."""
+        events = []
+        copies = []
+        real_fanouts = Circuit.fanouts
+        real_substitute = Circuit.substitute
+        real_copy = Circuit.copy
+
+        def fanouts(self):
+            events.append(("fanouts", self))
+            return real_fanouts(self)
+
+        def substitute(self, target, switch):
+            events.append(("substitute", self))
+            return real_substitute(self, target, switch)
+
+        def copy(self, name=None):
+            child = real_copy(self, name)
+            copies.append(child)
+            return child
+
+        monkeypatch.setattr(Circuit, "fanouts", fanouts)
+        monkeypatch.setattr(Circuit, "substitute", substitute)
+        monkeypatch.setattr(Circuit, "copy", copy)
+        child = applied_copy(fig3, LAC(target=10, switch=7))
+        assert copies == [child]
+        assert ("fanouts", fig3) in events
+        first_sub = events.index(("substitute", child))
+        assert all(c is not child for _, c in events[:first_sub])
+        assert child.fanins[12] == (9, 7)

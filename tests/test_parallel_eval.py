@@ -27,6 +27,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -371,6 +374,15 @@ class PoisonedLibrary(Library):
         return super().cell(name)
 
 
+def _pid_running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestCrashSafety:
     def _assert_pool_gone(self, session):
         dispatcher = getattr(session.ctx, "_dispatcher", None)
@@ -427,6 +439,57 @@ class TestCrashSafety:
         assert dispatcher.stats["serial_fallbacks"] == 0
         for ours, ref in zip(evals, serial):
             _assert_same_eval(ours, ref)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process states from /proc"
+    )
+    def test_workers_exit_when_dispatcher_is_sigkilled(self):
+        """A SIGKILLed dispatcher process leaves no live shard workers:
+        each worker notices it was reparented and exits on its own."""
+        script = (
+            "import sys\n"
+            "from repro.bench import ripple_adder_circuit\n"
+            "from repro.cells import default_library\n"
+            "from repro.core import EvalContext, ShardDispatcher\n"
+            "from repro.sim import ErrorMode\n"
+            "ctx = EvalContext.build(ripple_adder_circuit(4),"
+            " default_library(), ErrorMode.NMED, num_vectors=64, seed=0)\n"
+            "d = ShardDispatcher(ctx, 2)\n"
+            "d.warmup()\n"
+            "print(*(proc.pid for proc, _ in d._workers), flush=True)\n"
+            "sys.stdin.read()\n"
+        )
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in ("src", env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        pids: list = []
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(pids) == 2 and all(map(_pid_running, pids))
+            proc.kill()  # SIGKILL: the dispatcher gets no chance to close
+            proc.wait(timeout=30)
+            for _ in range(400):  # bounded: 400 x 50 ms
+                if not any(map(_pid_running, pids)):
+                    break
+                time.sleep(0.05)
+            assert not any(map(_pid_running, pids)), "orphaned shard workers"
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            proc.stdin.close()
+            proc.stdout.close()
+            for pid in pids:
+                if _pid_running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_pool_respawns_after_failure(self, library):
         """A crashed pool does not wedge the session: serial still works

@@ -6,6 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_circuits import build_adder
+
+from repro.bench import build_benchmark
+from repro.cells import default_library
 from repro.core import (
     EvalContext,
     LAC,
@@ -13,13 +17,14 @@ from repro.core import (
     applied_copy,
     circuit_reproduce,
     circuit_search,
+    circuit_simplify,
     collect_targets,
     evaluate,
     pick_superior_partner,
     po_levels,
     propose_search_lac,
 )
-from repro.netlist import CONST0, CONST1, is_const, validate
+from repro.netlist import CONST0, CONST1, is_const, remove_dangling, validate
 from repro.sim import ErrorMode, best_switch
 from repro.sta import critical_paths, path_logic_gates
 
@@ -156,6 +161,18 @@ class TestReproduce:
         with pytest.raises(ValueError):
             circuit_reproduce(ev_a, ev_b, ctx)
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_diverged_gate_id_sets_rejected(self, ctx, adder8, swap):
+        """A parent that lost a gate the other still has is outside the
+        population protocol: rejected up front, in either order."""
+        pruned = applied_copy(adder8, LAC(adder8.logic_ids()[3], CONST0))
+        assert remove_dangling(pruned) > 0
+        ev_pruned = evaluate(ctx, pruned)
+        ev_ref = evaluate(ctx, adder8.copy())
+        pair = (ev_ref, ev_pruned) if swap else (ev_pruned, ev_ref)
+        with pytest.raises(ValueError, match="gate-ID"):
+            circuit_reproduce(*pair, ctx)
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_random_mixtures_stay_acyclic(self, seed, adder8_module, ctx_module):
@@ -215,3 +232,119 @@ class TestPartner:
     def test_no_superior_returns_none(self, ctx, adder8):
         ev = evaluate(ctx, adder8.copy())
         assert pick_superior_partner([ev], ev, random.Random(0)) is None
+
+
+# ----------------------------------------------------------------------
+# delta-sized reproduction vs the cone-walk oracle
+# ----------------------------------------------------------------------
+def oracle_reproduce(ev_a, ev_b, ctx, weights=None):
+    """Reproduction as a plain cone walk, kept as an oracle: visit every
+    selected PO cone in descending Level order, let the first write-in
+    of each gate win, and skip writes that match the fitter parent."""
+    weights = weights or LevelWeights.paper_defaults(ctx)
+    levels_a = po_levels(ev_a, ctx, weights)
+    levels_b = po_levels(ev_b, ctx, weights)
+    base = ev_a if ev_a.fitness >= ev_b.fitness else ev_b
+    child = base.circuit.copy()
+    choices = []
+    for po in child.po_ids:
+        if levels_a[po] >= levels_b[po]:
+            choices.append((levels_a[po], po, ev_a.circuit))
+        else:
+            choices.append((levels_b[po], po, ev_b.circuit))
+    choices.sort(key=lambda item: (-item[0], item[1]))
+    since = child.version
+    written, changed, writes = set(), set(), 0
+    for _, po, parent in choices:
+        for gid in parent.transitive_fanin(po, include_self=True):
+            if gid in written:
+                continue
+            written.add(gid)
+            if child.fanins[gid] != parent.fanins[gid]:
+                child.fanins[gid] = parent.fanins[gid]
+                changed.add(gid)
+                writes += 1
+            if not child.is_po(gid) and child.cells[gid] != parent.cells[gid]:
+                child.cells[gid] = parent.cells[gid]
+                changed.add(gid)
+                writes += 1
+    child.extend_provenance(changed, since, writes)
+    return child
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        ("adder8", ErrorMode.ER),
+        ("adder8", ErrorMode.NMED),
+        ("Max16", ErrorMode.ER),
+        ("Max16", ErrorMode.NMED),
+    ],
+    ids=lambda p: f"{p[0]}-{p[1].name}",
+)
+def oracle_ctx(request):
+    name, mode = request.param
+    circuit = (
+        build_adder(8) if name == "adder8"
+        else build_benchmark(name, "scaled")
+    )
+    return EvalContext.build(
+        circuit, default_library(), mode, num_vectors=256, seed=5
+    )
+
+
+def _mutated(ctx, rng, steps):
+    """A population-like member: searching and simplification steps
+    (fan-in rewrites and cell swaps) from the accurate circuit."""
+    current = evaluate(ctx, ctx.reference.copy())
+    for _ in range(steps):
+        op = circuit_simplify if rng.random() < 0.3 else circuit_search
+        child = op(current, ctx, rng)
+        if child is not None:
+            current = evaluate(ctx, child)
+    return current
+
+
+def _assert_matches_oracle(got, want):
+    assert list(got.fanins.items()) == list(want.fanins.items())
+    assert list(got.cells.items()) == list(want.cells.items())
+    # Both start from a copy at the same version, so equal versions
+    # mean equal write counts (the provenance version delta).
+    assert got.version == want.version
+    prov_got, prov_want = got.valid_provenance(), want.valid_provenance()
+    assert prov_got is not None and prov_want is not None
+    assert prov_got.parent is prov_want.parent
+    assert prov_got.changed == prov_want.changed
+
+
+class TestReproduceOracle:
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=12, deadline=None)
+    def test_child_matches_cone_walk(self, seed, oracle_ctx):
+        ctx = oracle_ctx
+        rng = random.Random(seed)
+        ev_a = _mutated(ctx, rng, rng.randrange(1, 6))
+        ev_b = _mutated(ctx, rng, rng.randrange(1, 6))
+        for pair in ((ev_a, ev_b), (ev_b, ev_a)):
+            _assert_matches_oracle(
+                circuit_reproduce(*pair, ctx), oracle_reproduce(*pair, ctx)
+            )
+
+    def test_sweep_writes_fanins_and_cells(self, oracle_ctx):
+        """The seeds above must reach real writes of both kinds, or the
+        property would pass on trivially-identical children."""
+        ctx = oracle_ctx
+        kinds = set()
+        for seed in range(24):
+            rng = random.Random(seed)
+            ev_a = _mutated(ctx, rng, 4)
+            ev_b = _mutated(ctx, rng, 4)
+            child = circuit_reproduce(ev_a, ev_b, ctx)
+            _assert_matches_oracle(child, oracle_reproduce(ev_a, ev_b, ctx))
+            base = max(ev_a, ev_b, key=lambda ev: ev.fitness).circuit
+            for gid in child.valid_provenance().changed:
+                if child.fanins[gid] != base.fanins[gid]:
+                    kinds.add("fanins")
+                if child.cells[gid] != base.cells[gid]:
+                    kinds.add("cells")
+        assert kinds == {"fanins", "cells"}
