@@ -15,6 +15,7 @@ picoseconds for delay/slew and femtofarads for capacitance.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -31,17 +32,20 @@ def _interp_index(axis: Sequence[float], value: float) -> Tuple[int, float]:
     The fraction is the normalised position between ``axis[lo]`` and
     ``axis[lo + 1]``.  Values outside the axis are clamped to the first or
     last segment (fraction 0.0 or 1.0), which mirrors the conservative
-    clamping most STA tools apply instead of extrapolating.
+    clamping most STA tools apply instead of extrapolating.  A value on
+    an inner breakpoint lands on the segment below it, fraction 1.0.
     """
     if value <= axis[0]:
         return 0, 0.0
     if value >= axis[-1]:
         return len(axis) - 2, 1.0
-    for i in range(len(axis) - 1):
-        if value <= axis[i + 1]:
-            span = axis[i + 1] - axis[i]
-            return i, (value - axis[i]) / span
-    return len(axis) - 2, 1.0  # pragma: no cover - unreachable
+    hi = bisect_left(axis, value)
+    if hi == 0:
+        # NaN: every comparison is False, so it falls through both
+        # clamps and bisects to 0; it clamps to the last segment.
+        return len(axis) - 2, 1.0
+    lo = hi - 1
+    return lo, (value - axis[lo]) / (axis[hi] - axis[lo])
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,7 @@ import threading
 import time
 import traceback
 import warnings
+import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as connection_wait
@@ -629,8 +630,13 @@ class ShardDispatcher:
             OrderedDict() for _ in range(jobs)
         ]
         self._rr = 0  # round-robin counter for full-eval singles
-        #: Kept for serial-fallback evaluation and worker respawns.
-        self._ctx = ctx
+        #: The context, for serial-fallback evaluation.  Held weakly:
+        #: the context owns its dispatcher (``ctx._dispatcher``), and a
+        #: strong back-reference would close a cycle that keeps a
+        #: dropped ``Session``'s workers alive until the cyclic GC
+        #: runs.  Without it, the context dies by refcount, this
+        #: dispatcher with it, and ``__del__`` shuts the pool down.
+        self._ctx_ref = weakref.ref(ctx)
         self._spec = _ContextSpec.from_ctx(ctx)
         self._mp = multiprocessing.get_context(_start_method())
         self._workers: List[Tuple[Any, Connection]] = []
@@ -1015,7 +1021,12 @@ class ShardDispatcher:
         sub: List[BatchItem] = [items[i] for i in pending]
         if force_full:
             sub = [(circuit, None) for circuit, _ in sub]
-        evals = evaluate_batch(self._ctx, sub)
+        # A dispatcher outliving its context rebuilds one from the
+        # spec, the recipe every worker evaluates with.
+        ctx = self._ctx_ref()
+        if ctx is None:
+            ctx = self._spec.build()
+        evals = evaluate_batch(ctx, sub)
         for index, ev in zip(pending, evals):
             out[index] = ev
 
@@ -1172,7 +1183,9 @@ class ShardDispatcher:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def __del__(self) -> None:  # pragma: no cover - GC backstop
+    def __del__(self) -> None:
+        # Runs when the owning context is dropped (the dispatcher holds
+        # it weakly), so an unclosed Session releases its pool.
         try:
             self.close(force=True)
         except Exception:

@@ -295,12 +295,31 @@ class Circuit:
     def fanouts(self) -> Dict[int, List[int]]:
         """Map each gate to the gates that consume its output.
 
-        Constants are included as keys when referenced.  Memoized per
-        structure version; treat the returned dict as read-only.
+        Each consumer list follows the consumers' fan-in dict order,
+        one entry per pin (a driver feeding two pins of one gate is
+        listed twice), so load sums over it are bit-identical to a
+        walk over the fan-in map.  Constants are keys only while
+        referenced.  A copy-then-mutate child with a valid provenance
+        record over its parent's gate-ID set patches the parent's map
+        instead of rebuilding it (see :meth:`_patched_fanouts`), so its
+        cost follows the provenance delta, not the circuit size.
+        Memoized per structure version; treat the returned dict as
+        read-only.
         """
         cached = self._cached("fanouts")
         if cached is not None:
             return cached
+        prov = self.valid_provenance()
+        if (
+            prov is not None
+            and prov.parent is not self
+            and self.same_gid_set(prov.parent)
+        ):
+            return self._store("fanouts", self._patched_fanouts(prov))
+        return self._store("fanouts", self._scratch_fanouts())
+
+    def _scratch_fanouts(self) -> Dict[int, List[int]]:
+        """The fan-out map built from the fan-in map in O(V+E)."""
         out: Dict[int, List[int]] = {gid: [] for gid in self._fanins}
         for gid, fis in self._fanins.items():
             for fi in fis:
@@ -310,7 +329,58 @@ class Circuit:
                     out.setdefault(fi, []).append(gid)
                 else:
                     out[fi].append(gid)
-        return self._store("fanouts", out)
+        return out
+
+    def _patched_fanouts(self, prov: Provenance) -> Dict[int, List[int]]:
+        """The provenance parent's fan-out map, patched around ``changed``.
+
+        The parent's memoized map is copied with one C-level ``dict``
+        copy (a parent without one builds its own once, from scratch;
+        the ancestor chain is never walked further).  Only the drivers
+        a rewired gate gained or lost get a new consumer list: the
+        parent's list minus the rewired gates, plus one entry per pin
+        each rewired gate now draws from the driver, stably sorted by
+        fan-in dict position.  Copies keep the parent's insertion
+        order, so the parent's position map is the child's.  A
+        constant left without consumers loses its key.  Unpatched
+        lists are shared with the parent (all are read-only).
+        """
+        parent = prov.parent
+        base = parent._cached("fanouts")
+        if base is None:
+            base = parent._store("fanouts", parent._scratch_fanouts())
+        parent_fanins = parent._fanins
+        fanins = self._fanins
+        rewired: Set[int] = set()
+        gained: Dict[int, List[int]] = {}
+        for gid in prov.changed:
+            before = parent_fanins.get(gid, ())
+            after = fanins.get(gid, ())
+            if before == after:
+                continue  # cell swap or no-op write: same consumers
+            rewired.add(gid)
+            for d in before:
+                gained.setdefault(d, [])
+            for d in after:
+                gained.setdefault(d, []).append(gid)
+        if not rewired:
+            return base
+        pos = parent._cached("fanins_pos")
+        if pos is None:
+            pos = parent._store(
+                "fanins_pos", {g: i for i, g in enumerate(parent_fanins)}
+            )
+        out = dict(base)
+        for d, extra in gained.items():
+            cons = [c for c in base.get(d, ()) if c not in rewired]
+            if extra:
+                cons += extra
+                cons.sort(key=pos.__getitem__)
+            if cons or d >= 0:
+                out[d] = cons
+            else:
+                del out[d]
+        return out
 
     def topological_order(self) -> List[int]:
         """Gate IDs in topological order (fan-ins before fan-outs).
@@ -409,23 +479,36 @@ class Circuit:
         reproduction mixes fan-in tuples from two preserving parents,
         and simplification only drops pins.  Consumers use it to run
         sorted-gid (= dense-row) evaluation schedules without building
-        a per-child topological order.  Memoized per structure version;
-        an O(E) scan, several times cheaper than a Kahn walk plus the
-        fan-out map it needs.
+        a per-child topological order.  Memoized per structure version.
+        A child with a valid provenance record whose parent answers
+        ``True`` checks only its ``changed`` gates (unchanged gates
+        carry the parent's edges); otherwise it is an O(E) scan.
         """
         cached = self._cached("gid_topo")
         if cached is not None:
             return cached
-        ok = True
-        for gid, fis in self._fanins.items():
-            for fi in fis:
-                # Constants are negative, so `fi < gid` covers them.
-                if fi >= gid:
-                    ok = False
-                    break
-            if not ok:
-                break
-        return self._store("gid_topo", ok)
+        prov = self.valid_provenance()
+        if prov is not None and prov.parent is not self:
+            parent = prov.parent
+            base = parent._cached("gid_topo")
+            if base is None:
+                base = parent._store("gid_topo", parent._scan_gid_topo())
+            if base:
+                fanins = self._fanins
+                ok = all(
+                    fi < gid
+                    for gid in prov.changed
+                    for fi in fanins.get(gid, ())
+                )
+                return self._store("gid_topo", ok)
+        return self._store("gid_topo", self._scan_gid_topo())
+
+    def _scan_gid_topo(self) -> bool:
+        """:meth:`gid_order_topo` by an O(E) scan of every fan-in."""
+        # Constants are negative, so `fi < gid` covers them.
+        return all(
+            fi < gid for gid, fis in self._fanins.items() for fi in fis
+        )
 
     def same_gid_set(self, other: "Circuit") -> bool:
         """True when both circuits carry exactly the same gate-ID set.
@@ -617,7 +700,8 @@ class Circuit:
         (area, timing plan, structure keys, record digests) are rebuilt
         lazily as usual.  With the levels carried,
         :func:`repro.sta.update_timing` retimes the copy on this
-        circuit's level schedule instead of one row per level.
+        circuit's level schedule (whole levels per frontier pop)
+        instead of row by row.
         """
         child = self.copy()
         since = child._version

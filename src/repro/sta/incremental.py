@@ -8,6 +8,14 @@ level-ordered frontier walk over the structure-of-arrays timing store —
 the same trick PrimeTime's incremental mode uses to make optimization
 loops affordable, without ever touching the untouched rows.
 
+Per-child cost follows the provenance delta, not the circuit size: the
+frontier is a heap of dirty rows keyed by level, so a walk touches only
+the levels that hold dirty rows (a gid-topological child, whose rows
+are their own levels, keys the heap on the row itself), and the
+fan-out map the walk follows is the child's own
+:meth:`~repro.netlist.Circuit.fanouts`, which a copy-then-mutate child
+patches from its provenance parent's map and keeps as its memo.
+
 Results are **bit-identical** to a fresh :meth:`STAEngine.analyze`; the
 equivalence is pinned by tests on randomly mutated circuits.  Two rules
 keep that contract airtight:
@@ -26,6 +34,7 @@ keep that contract airtight:
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -34,7 +43,6 @@ from ..netlist import Circuit, PI_CELL, PO_CELL
 from .analyzer import STAEngine, TimingReport
 from .store import (
     TimingIndex,
-    TimingLevels,
     VECTOR_MIN_GROUP,
     eval_gate_scalar,
     eval_gates_vector,
@@ -42,95 +50,6 @@ from .store import (
     timing_index,
     timing_levels,
 )
-
-
-class _PatchedFanouts:
-    """The parent's memoized fan-out map with per-driver overrides.
-
-    A copy-then-mutate child's fan-out lists differ from its parent's
-    only for drivers touched by the changed gates' fan-in rewrites;
-    rebuilding the whole O(V+E) map per child was the last per-child
-    schedule build in the incremental hot path.  Only ``get`` is
-    exposed — exactly what the load rederivation and the frontier walk
-    consume.
-    """
-
-    __slots__ = ("base", "overrides")
-
-    def __init__(self, base, overrides):
-        self.base = base
-        self.overrides = overrides
-
-    def get(self, key, default=()):
-        hit = self.overrides.get(key)
-        if hit is not None:
-            return hit
-        return self.base.get(key, default)
-
-
-def _shared_fanouts(
-    circuit: Circuit,
-    previous: TimingReport,
-    changed: Iterable[int],
-    same_rows: bool,
-):
-    """The child's fan-out map, patched from the parent's where possible.
-
-    Requires the same preconditions as every other parent-structure
-    reuse in this walk: the parent object is distinct, unmutated since
-    its report, and shares the gate-ID set.  Consumer lists are
-    reconstructed in the child's fan-in dict order (copies preserve the
-    parent's insertion order, and a stable sort on the parent's
-    position map restores it after membership edits), so the float
-    accumulation order in the load rederivation — and therefore every
-    load bit — matches a from-scratch :meth:`Circuit.fanouts` build.
-    """
-    parent = previous.circuit
-    if (
-        parent is circuit
-        or not same_rows
-        or parent.version != previous.circuit_version
-    ):
-        return circuit.fanouts()
-    cached = circuit._cached("fanouts")
-    if cached is not None:
-        return cached
-    parent_fo = parent.fanouts()
-    parent_fanins = parent.fanins
-    child_fanins = circuit.fanins
-    changed_set = set()
-    affected = set()
-    for g in changed:
-        if g < 0:
-            continue
-        changed_set.add(g)
-        pf = parent_fanins.get(g, ())
-        cf = child_fanins.get(g, ())
-        if pf != cf:
-            affected.update(pf)
-            affected.update(cf)
-    if not affected:
-        return parent_fo
-    pos = parent._cached("fanins_pos")
-    if pos is None:
-        pos = parent._store(
-            "fanins_pos", {g: i for i, g in enumerate(parent_fanins)}
-        )
-    overrides = {}
-    for d in affected:
-        if d < 0:
-            continue  # constant sources carry no load row
-        base = parent_fo.get(d, ())
-        # Multiplicity matters: a driver feeding two pins of one gate
-        # appears twice in the consumer list (two pin loads).
-        cons = [c for c in base if c not in changed_set]
-        for g in changed_set:
-            occ = child_fanins[g].count(d)
-            if occ:
-                cons.extend([g] * occ)
-        cons.sort(key=pos.__getitem__)
-        overrides[d] = cons
-    return _PatchedFanouts(parent_fo, overrides)
 
 
 def _incremental_loads(
@@ -205,12 +124,20 @@ def update_timing(
 
     The walk is a masked frontier over the SoA store: the parent's
     arrays are copied wholesale (five ``memcpy``s instead of five dict
-    copies), dirty rows are seeded per level, and only rows whose
-    fan-ins actually changed output are ever revisited.  When the child
-    shares the parent's gate-ID set and its rewired fan-ins respect the
-    parent's level order (every LAC does — switches come from the TFI),
-    the parent's memoized :func:`timing_levels` drives the walk and the
-    child never pays an O(V+E) schedule build of its own.
+    copies), dirty rows are pushed onto a heap keyed by ``(level,
+    row)``, and each iteration pops one whole level, so the vectorized
+    branch still sees every dirty row of a wide level at once.  Only
+    rows whose fan-ins actually changed output are ever revisited.
+    When the child shares the parent's gate-ID set and its rewired
+    fan-ins respect the parent's level order (every LAC does —
+    switches come from the TFI), the parent's memoized
+    :func:`timing_levels` supplies the levels; otherwise a
+    gid-topological child keys the heap on the bare row (each row is
+    its own level), so the child never pays an O(V+E) schedule build
+    or a per-level scan of its own.  The fan-out map comes from
+    :meth:`Circuit.fanouts`, patched from the provenance parent's map
+    and memoized on the child, so it is ready when the child becomes a
+    parent.
     """
     changed: List[int] = list(changed_gates)
     pindex = previous.index
@@ -237,7 +164,9 @@ def update_timing(
             index = timing_index(circuit)
     n = index.n
     same_rows = index is pindex or np.array_equal(index.gids, pindex.gids)
-    fanouts = _shared_fanouts(circuit, previous, changed, same_rows)
+    # Patched from the provenance parent's map when the record allows
+    # (see Circuit.fanouts), and memoized as the child's own.
+    fanouts = circuit.fanouts()
     loads = _incremental_loads(
         engine, circuit, previous, changed, index, same_rows, fanouts
     )
@@ -306,17 +235,20 @@ def update_timing(
             circuit, index, arr, slew, loads, depth, cf, circuit.version
         )
 
-    # Scheduling: process dirty rows level by level.  Priority: the
-    # parent's *already-memoized* level assignment when it is still a
-    # valid stratification of the child (the gate-ID set is unchanged
-    # and every *rewired* fan-in sits at a strictly lower parent level
-    # — LACs always qualify: switches come from the target's TFI);
+    # Scheduling: the frontier is a heap keyed by level, popped one
+    # whole level at a time, so only levels that hold dirty rows cost
+    # anything.  The level assignment, in order of preference: the
+    # parent's *already-memoized* levels when they are still a valid
+    # stratification of the child (the gate-ID set is unchanged and
+    # every *rewired* fan-in sits at a strictly lower parent level —
+    # LACs always qualify: switches come from the target's TFI);
     # otherwise, on a gid-topological circuit (every population
-    # member), one-row-per-level over the sorted-gid rows — a valid
-    # stratification with no O(V+E) build at all; only then a freshly
-    # built schedule.  The walk's results are schedule-independent:
-    # every gate is evaluated after its fan-ins either way.
-    levels = None
+    # member), each sorted-gid row is its own level and the heap holds
+    # bare rows — no O(V+E) build and no per-child level array at all;
+    # only then a freshly built schedule.  The walk's results are
+    # schedule-independent: every gate is evaluated after its fan-ins
+    # either way, and rows of one level never feed each other.
+    level_of = None
     parent_reusable = (
         same_rows
         and parent is not circuit
@@ -329,23 +261,15 @@ def update_timing(
         if plevels is not None and shared_levels_valid(
             plevels.level_of, row_of, circuit, changed
         ):
-            levels = plevels
-    if levels is None:
-        if circuit.gid_order_topo():
-            # Kept local: the canonical timing_levels contract (level =
-            # one past the deepest fan-in) still governs the memoized
-            # schedule the full analyzer plans over.
-            levels = TimingLevels(index, np.arange(n, dtype=np.int32), n)
-        else:
-            levels = timing_levels(circuit)
+            level_of = plevels.level_of
+    if level_of is None and not circuit.gid_order_topo():
+        level_of = timing_levels(circuit).level_of
+    if level_of is None:
+        heap = seeds
+    else:
+        heap = [(int(level_of[r]), r) for r in seeds]
+    heapify(heap)
 
-    level_of = levels.level_of
-    buckets: List[List[int]] = [[] for _ in range(levels.num_levels)]
-    for r in seeds:
-        buckets[level_of[r]].append(r)
-
-    # ``fanouts`` from above: the parent's map patched around the
-    # changed gates (or the child's own when no parent is reusable).
     gids = index.gids
     fanins_map = circuit.fanins
     cells_map = circuit.cells
@@ -354,10 +278,14 @@ def update_timing(
     is_new = np.zeros(n, dtype=bool)
     is_new[new_rows] = True
 
-    for lvl in range(levels.num_levels):
-        bucket = buckets[lvl]
-        if not bucket:
-            continue
+    while heap:
+        if level_of is None:
+            bucket = [heappop(heap)]
+        else:
+            lvl = heap[0][0]
+            bucket = []
+            while heap and heap[0][0] == lvl:
+                bucket.append(heappop(heap)[1])
         if len(bucket) >= VECTOR_MIN_GROUP:
             # Wide frontier level: gather same-cell gates and run the
             # batched NLDM kernel instead of per-gate scalar table
@@ -413,7 +341,11 @@ def update_timing(
                         fr = row_of[fo]
                         if not queued[fr]:
                             queued[fr] = True
-                            buckets[level_of[fr]].append(fr)
+                            heappush(
+                                heap,
+                                fr if level_of is None
+                                else (int(level_of[fr]), fr),
+                            )
             bucket = rest
         for r in bucket:
             gid = int(gids[r])
@@ -468,7 +400,11 @@ def update_timing(
                     fr = row_of[fo]
                     if not queued[fr]:
                         queued[fr] = True
-                        buckets[level_of[fr]].append(fr)
+                        heappush(
+                            heap,
+                            fr if level_of is None
+                            else (int(level_of[fr]), fr),
+                        )
 
     return TimingReport(
         circuit, index, arr, slew, loads, depth, cf, circuit.version

@@ -37,6 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..cells.timing_model import _interp_index
 from ..netlist import Circuit, PI_CELL, PO_CELL
 
 #: Cell groups at or above this size take the vectorized NLDM kernel;
@@ -382,21 +383,46 @@ def eval_gate_scalar(cell, fan_timing, load: float, input_slew: float):
     both the analyzer's small-group branch and the incremental frontier
     walk call it, so the bit-identity contract between the full and
     incremental paths cannot drift apart through divergent copies.
+
+    Fused: the load is located on the delay table once per gate, each
+    fan-in's slew once, and the bilinear interpolation is inlined with
+    :meth:`NLDMTable.lookup`'s operation order.  The output slew is
+    looked up once, for the winning fan-in — the per-fan-in
+    ``cell.delay``/``cell.output_slew`` scan it replaces (kept in the
+    tests as the oracle) re-located the load per fan-in and re-looked
+    up the slew every time the running maximum moved; ``lookup`` is a
+    pure function, so neither changes a bit.
     """
+    table = cell.arc.delay
+    values = table.values
+    slew_axis = table.slew_axis
+    j, fl = _interp_index(table.load_axis, load)
+    gl = 1.0 - fl
+    j1 = j + 1
     best = 0.0
-    best_slew = input_slew
+    win_slew = None
     best_depth = 0
     best_src = -1
-    first = True
     for a, s, d, src in fan_timing:
-        at = a + cell.delay(s, load)
-        if first or at > best:
+        i, fs = _interp_index(slew_axis, s)
+        row0 = values[i]
+        row1 = values[i + 1]
+        top = row0[j] * gl + row0[j1] * fl
+        bot = row1[j] * gl + row1[j1] * fl
+        at = a + (top * (1.0 - fs) + bot * fs)
+        if win_slew is None or at > best:
             best = at
-            best_slew = cell.output_slew(s, load)
+            win_slew = s
             best_depth = d
             best_src = src
-            first = False
-    return best, best_slew, best_depth + 1, best_src
+    if win_slew is None:
+        return best, input_slew, best_depth + 1, best_src
+    return (
+        best,
+        cell.arc.output_slew.lookup(win_slew, load),
+        best_depth + 1,
+        best_src,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ import os
 import signal
 import time
 import warnings
+import weakref
 
 import pytest
 
@@ -229,6 +230,28 @@ class TestDispatcherRecovery:
                 library, FaultSchedule("worker.kill=*"), retries=1
             )
         assert d.stats["serial_fallbacks"] == 1
+
+    def test_serial_fallback_outlives_its_context(self, library):
+        # The dispatcher holds its context weakly; with the context gone
+        # the serial fallback rebuilds one from the worker spec.
+        ctx = _ctx(build_adder(8), library)
+        kids = _lac_children(ctx, 6)
+        parent = ctx.reference_eval()
+        serial = evaluate_batch(ctx, [(c, parent) for c in kids])
+        dispatcher = _dispatcher(ctx, retries=1)
+        alive = weakref.ref(ctx)
+        del ctx
+        assert alive() is None
+        faults.install(FaultSchedule("worker.kill=*"))
+        try:
+            with pytest.warns(RuntimeWarning, match="serially"):
+                got = dispatcher.evaluate_items([(c, parent) for c in kids])
+        finally:
+            faults.install(None)
+            dispatcher.close()
+        assert dispatcher.stats["serial_fallbacks"] == 1
+        for ours, ref in zip(got, serial):
+            _assert_same_eval(ours, ref)
 
     def test_parallel_compare_heals_after_kill(self, library):
         methods = ("HEDALS", "Ours")

@@ -12,6 +12,7 @@ resumes bit-identically.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -101,6 +102,31 @@ class TestErrorTeardown:
         assert ledger.exists(), "close() did not flush the stats ledger"
         assert session.cache is not None
         assert session.cache.aggregate_stats()["misses"] >= 1
+
+    def test_dropped_session_releases_its_pool(self):
+        """An unclosed Session frees its shard pool by refcount alone.
+
+        The context owns its dispatcher; the dispatcher holds the
+        context only weakly, so no reference cycle keeps the pool alive
+        until the cyclic GC happens to run.  The collector stays off
+        for the whole test, so only refcounting can pass it.
+        """
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = set(multiprocessing.active_children())
+            session = Session(build_adder(4), FlowConfig(num_vectors=64))
+            session.evaluate_batch(
+                [session.circuit.copy(), session.circuit.copy()], jobs=2
+            )
+            spawned = set(multiprocessing.active_children()) - before
+            assert spawned, "pool never spawned"
+            del session
+            assert not spawned & set(multiprocessing.active_children())
+            assert not any(proc.is_alive() for proc in spawned)
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 # ----------------------------------------------------------------------
