@@ -45,6 +45,7 @@ MEMO_ACCESSORS = frozenset(
         "live_gates",
         "transitive_fanin",
         "transitive_fanout",
+        "po_levels",
         "timing_index",
         "timing_levels",
         "timing_plan",

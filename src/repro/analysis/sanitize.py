@@ -14,6 +14,10 @@ lookup when disabled.  Three layers, one per contract family:
   ``extend_provenance`` boundaries; it diffs the circuit against its
   provenance parent and raises :class:`SanitizerError` when the
   declared ``changed`` set does not cover the actual structural edits.
+* the derived-memo cross-check — a copy-then-mutate child derives its
+  live set, structure key and area from its provenance parent's;
+  :func:`verify_derived` compares each against a from-scratch build
+  and raises :class:`SanitizerError` on a mismatch.
 * :class:`TrackedLock` — a named wrapper around ``threading`` locks
   used by the dispatcher/lake registries.  It records the global
   lock-acquisition order and raises on the first order inversion
@@ -35,6 +39,7 @@ __all__ = [
     "publish_array",
     "publish_arrays",
     "sanitize_enabled",
+    "verify_derived",
     "verify_provenance",
 ]
 
@@ -103,6 +108,26 @@ def verify_provenance(circuit) -> None:
             "undeclared edit (fold every mutation into "
             "extend_provenance, or drop the record)"
         )
+
+
+def verify_derived(circuit, what: str, derived, scratch) -> None:
+    """Check a provenance-derived memo against its from-scratch build.
+
+    Called by ``Circuit`` under the sanitizer each time it derives a
+    live set, structure key or area from its provenance parent instead
+    of building it.  A wrong delta would silently change dedup and the
+    area objective, so any difference raises.
+    """
+    if derived == scratch:
+        return
+    if isinstance(derived, (set, frozenset)):
+        detail = f"gates {sorted(derived ^ scratch)[:8]} differ"
+    else:
+        detail = f"derived {derived!r}, built {scratch!r}"
+    raise SanitizerError(
+        f"{what} of {circuit!r} derived from its provenance parent "
+        f"disagrees with a from-scratch build: {detail}"
+    )
 
 
 # ----------------------------------------------------------------------

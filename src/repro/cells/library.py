@@ -58,6 +58,31 @@ class Library:
         except KeyError:
             raise KeyError(f"cell {name!r} not in library {self.name!r}") from None
 
+    def area_units(self) -> Tuple[Dict[str, int], int]:
+        """Every cell's area as an exact integer count of ``1/scale`` µm².
+
+        A float area is exactly ``n / 2**k``
+        (:meth:`float.as_integer_ratio`); ``scale`` is the largest such
+        denominator, so ``units[name] / scale == cell(name).area`` with
+        no rounding.  Sums of units are exact and order-free, and one
+        int true division ``total / scale`` rounds once, correctly:
+        the result is ``math.fsum`` of the same areas.  Built once per
+        library.
+        """
+        table = self.__dict__.get("_area_units")
+        if table is None:
+            ratios = {
+                name: cell.area.as_integer_ratio()
+                for name, cell in self._cells.items()
+            }
+            scale = max((den for _, den in ratios.values()), default=1)
+            units = {
+                name: num * (scale // den)
+                for name, (num, den) in ratios.items()
+            }
+            table = self._area_units = (units, scale)
+        return table
+
     def cells(self) -> List[Cell]:
         """All cells, in deterministic (name-sorted) order."""
         return [self._cells[n] for n in sorted(self._cells)]

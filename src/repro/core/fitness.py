@@ -25,7 +25,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -209,6 +218,11 @@ class CircuitEval:
     #: Structure version of ``circuit`` at evaluation time; incremental
     #: evaluation refuses a parent eval whose circuit mutated since.
     circuit_version: int = 0
+    #: Per-PO Level scores already computed for this eval
+    #: (:func:`repro.core.reproduction.po_levels`), by their inputs.
+    level_memo: Dict[Tuple, Dict[int, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def cpd(self) -> float:

@@ -32,6 +32,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..netlist import PO_CELL, Circuit
 from .fitness import CircuitEval, EvalContext
 
@@ -64,17 +66,31 @@ class LevelWeights:
 def po_levels(
     ev: CircuitEval, ctx: EvalContext, weights: LevelWeights
 ) -> Dict[int, float]:
-    """Eq. 3 Level score for every PO of one evaluated circuit."""
+    """Eq. 3 Level score for every PO of one evaluated circuit.
+
+    Memoized on the eval per (weights, vector count, accurate CPD): a
+    fit member is a reproduction partner many times over.  Treat the
+    returned dict as read-only.
+    """
+    key = (weights, ctx.vectors.num_vectors, ctx.cpd_ori)
+    hit = ev.level_memo.get(key)
+    if hit is not None:
+        return hit
     floor = _error_floor(ctx.vectors.num_vectors)
     # POs driven by constants/PIs arrive at ~0; floor Ta at 1% of the
     # accurate CPD so the timing term saturates instead of exploding and
     # drowning out the error term.
     ta_floor = 0.01 * ctx.cpd_ori
-    levels: Dict[int, float] = {}
-    for idx, po in enumerate(ev.circuit.po_ids):
-        ta = max(ev.report.po_arrival(po), ta_floor, 1e-9)
-        err = max(ev.per_po_error[idx], floor)
-        levels[po] = weights.wt / ta + weights.we / err
+    report = ev.report
+    ta = np.maximum(
+        report.arrival_a[report.index.po_rows], max(ta_floor, 1e-9)
+    )
+    err = np.maximum(np.asarray(ev.per_po_error, dtype=np.float64), floor)
+    # Elementwise IEEE division and addition: the same floats as the
+    # scalar expression, one PO at a time.
+    scores = weights.wt / ta + weights.we / err
+    levels = dict(zip(ev.circuit.po_ids, scores.tolist()))
+    ev.level_memo[key] = levels
     return levels
 
 
@@ -93,7 +109,7 @@ def circuit_reproduce(
     ca, cb = ev_a.circuit, ev_b.circuit
     if ca.po_ids != cb.po_ids:
         raise ValueError("parents expose different PO sets")
-    if ca.fanins.keys() != cb.fanins.keys():
+    if not ca.same_gid_set(cb):
         raise ValueError("parents carry different gate-ID sets")
     weights = weights or LevelWeights.paper_defaults(ctx)
     levels_a = po_levels(ev_a, ctx, weights)

@@ -24,6 +24,8 @@ by reference and must be treated as read-only by callers.
 from __future__ import annotations
 
 import hashlib
+import heapq
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -39,7 +41,11 @@ from typing import (
     Tuple,
 )
 
-from ..analysis.sanitize import sanitize_enabled, verify_provenance
+from ..analysis.sanitize import (
+    sanitize_enabled,
+    verify_derived,
+    verify_provenance,
+)
 
 #: Reserved fan-in ID for the constant logic value '0'.
 CONST0 = -1
@@ -80,6 +86,26 @@ def _record_digest(gid: int, cell: str, fanins: Tuple[int, ...]) -> int:
     return int.from_bytes(
         hashlib.blake2b(blob, digest_size=16).digest(), "big"
     )
+
+
+def _sum_units(
+    units: Dict[str, int], cells: Dict[int, str], gids: Iterable[int]
+) -> int:
+    """Integer area units of the library gates among ``gids``."""
+    total = 0
+    for g in gids:
+        cell = cells[g]
+        if cell != PI_CELL and cell != PO_CELL:
+            total += units[cell]
+    return total
+
+
+def _xor_fold(digests: Dict[int, int], gids: Iterable[int]) -> int:
+    """XOR of the record digests of ``gids``."""
+    acc = 0
+    for g in gids:
+        acc ^= digests[g]
+    return acc
 
 
 class _TrackedDict(dict):
@@ -518,9 +544,11 @@ class Circuit:
         shared dirty cones), and it used to be paid as a full
         ``fanins.keys() == parent.fanins.keys()`` set comparison per
         child per evaluation.  Memoized per (this version, other
-        version) pair; the entry holds a strong reference to ``other``
-        so an ``id()`` recycled by the allocator can never alias a dead
-        circuit's cached answer.
+        version) pair.  The entry holds a weak reference to ``other``:
+        an ``id()`` recycled by the allocator can never alias a dead
+        circuit's cached answer, and a child that asked about its
+        provenance parent does not keep the parent (and through it
+        every ancestor) alive once the record is dropped.
         """
         if other is self:
             return True
@@ -530,23 +558,32 @@ class Circuit:
         hit = cache.get(id(other))
         if (
             hit is not None
-            and hit[0] is other
+            and hit[0]() is other
             and hit[1] == other._version
         ):
             return hit[2]
         result = self._fanins.keys() == other._fanins.keys()
         # lint: allow[R1] owner-populated memo, version-scoped by _store
-        cache[id(other)] = (other, other._version, result)
+        cache[id(other)] = (weakref.ref(other), other._version, result)
         return result
 
     def live_gates(self) -> FrozenSet[int]:
         """Gates reachable backwards from any PO (POs and PIs included).
 
-        Memoized per structure version; the returned set is immutable.
+        A copy-then-mutate child derives its set from its provenance
+        parent's (see :meth:`_live_delta`), so its cost follows the
+        delta; any other circuit walks back from the POs.  Memoized per
+        structure version; the returned set is immutable.
         """
         cached = self._cached("live")
         if cached is not None:
             return cached
+        if self._live_delta() is not None:
+            return self._cache["live"]
+        return self._store("live", self._scratch_live())
+
+    def _scratch_live(self) -> FrozenSet[int]:
+        """:meth:`live_gates` by a walk back from every PO."""
         fanins = self._fanins
         seen: Set[int] = set()
         stack = list(self.po_ids)
@@ -556,7 +593,93 @@ class Circuit:
                 continue
             seen.add(g)
             stack.extend(fanins[g])
-        return self._store("live", frozenset(seen))
+        return frozenset(seen)
+
+    def _memo_live(self) -> FrozenSet[int]:
+        """The memoized live set, else one built from scratch and kept.
+
+        What a provenance parent answers for its children: it never
+        derives its own set from further up the chain.
+        """
+        cached = self._cached("live")
+        if cached is None:
+            cached = self._store("live", self._scratch_live())
+        return cached
+
+    def _live_delta(
+        self,
+    ) -> Optional[Tuple[Provenance, FrozenSet[int], FrozenSet[int]]]:
+        """``(record, dead, born)``: the liveness flips against the parent.
+
+        ``None`` unless this circuit is a copy-then-mutate child with a
+        valid provenance record, the parent's gate-ID set and PO list,
+        and :meth:`gid_order_topo`.  The child's live set then starts as
+        the parent's memoized one (a parent without it builds its own
+        once, from scratch).  Only a rewired gate changes which drivers
+        have consumers, so the fan-ins it gained or lost seed a
+        worklist popped in descending gate ID — reverse topological
+        order, so every consumer is settled before its drivers.  A gate
+        is live when it is a PO or has a live consumer (read from the
+        child's :meth:`fanouts`); when that flips, its fan-ins are
+        pushed.  ``dead`` left the live set, ``born`` joined it.  The
+        live set is stored with the flips; neither holds the parent.
+        """
+        prov = self.valid_provenance()
+        if prov is None or prov.parent is self:
+            return None
+        cached = self._cached("live_delta")
+        if cached is not None:
+            return (prov,) + cached if cached else None
+        parent = prov.parent
+        if (
+            self.po_ids != parent.po_ids
+            or not self.same_gid_set(parent)
+            or not self.gid_order_topo()
+        ):
+            self._store("live_delta", ())
+            return None
+        base = parent._memo_live()
+        parent_fanins = parent._fanins
+        fanins = self._fanins
+        queued: Set[int] = set()
+        for gid in prov.changed:
+            before = parent_fanins[gid]
+            after = fanins[gid]
+            if before != after:
+                # A pin kept across the rewire keeps its consumer.
+                queued.update(set(before).symmetric_difference(after))
+        heap = [-d for d in queued if d >= 0]
+        dead: Set[int] = set()
+        born: Set[int] = set()
+        if heap:
+            heapq.heapify(heap)
+            fanouts = self.fanouts()
+            po_ids = self.po_ids
+            live = set(base)
+            while heap:
+                gid = -heapq.heappop(heap)
+                was = gid in live
+                now = not live.isdisjoint(fanouts[gid]) or gid in po_ids
+                if now == was:
+                    continue
+                if now:
+                    born.add(gid)
+                    live.add(gid)
+                else:
+                    dead.add(gid)
+                    live.discard(gid)
+                for d in fanins[gid]:
+                    if d >= 0 and d not in queued:
+                        queued.add(d)
+                        heapq.heappush(heap, -d)
+            if dead or born:
+                base = frozenset(live)
+        if sanitize_enabled():
+            verify_derived(self, "live set", base, self._scratch_live())
+        self._store("live", base)
+        flips = (frozenset(dead), frozenset(born))
+        self._store("live_delta", flips)
+        return (prov,) + flips
 
     def dangling_gates(self) -> Set[int]:
         """Logic gates with no path to any PO (the paper's empty-TFO gates)."""
@@ -567,13 +690,35 @@ class Circuit:
     # area
     # ------------------------------------------------------------------
     def area(self, library, live_only: bool = True) -> float:
-        """Total cell area in µm².
+        """Total cell area in µm², exact and independent of gate order.
 
         With ``live_only`` (the default) dangling gates are excluded —
         this is exactly how the paper computes ``Area_app``: the accurate
-        circuit's area minus the area of dangling gates.  Memoized per
-        structure version (the library object is held as part of the key
-        so identity cannot be recycled).
+        circuit's area minus the area of dangling gates.  The value is
+        the exact sum of the counted cells' areas, rounded once to the
+        nearest float: ``math.fsum`` of those areas, whatever order the
+        gates are numbered or iterated in.  It is summed in the
+        library's integer area units (:meth:`Library.area_units`) and
+        divided by the unit scale once.  A copy-then-mutate child that
+        qualifies for :meth:`_live_delta` adjusts its parent's sum over
+        the gates that died, were born or changed cell only.  Memoized
+        per structure version (the library object is held as part of
+        the key so identity cannot be recycled).
+        """
+        units, scale = library.area_units()
+        return self._area_units(library, units, live_only) / scale
+
+    def _area_units(
+        self,
+        library,
+        units: Dict[str, int],
+        live_only: bool,
+        derive: bool = True,
+    ) -> int:
+        """:meth:`area` in integer library units, memoized.
+
+        ``derive=False`` is how a provenance parent answers: from its
+        memo or from scratch, never from its own parent.
         """
         cache = self._cached("area")
         if cache is None:
@@ -583,13 +728,29 @@ class Circuit:
         if hit is not None:
             return hit[1]
         cells = self._cells
-        lib_cell = library.cell
-        gids = self.live_gates() if live_only else self._fanins
-        total = 0.0
-        for g in gids:
-            cell = cells[g]
-            if cell != PI_CELL and cell != PO_CELL:
-                total += lib_cell(cell).area
+        gids: Iterable[int] = self._fanins
+        delta = None
+        if live_only:
+            gids = live = self.live_gates() if derive else self._memo_live()
+            delta = self._live_delta() if derive else None
+        if delta is None:
+            total = _sum_units(units, cells, gids)
+        else:
+            prov, dead, born = delta
+            parent = prov.parent
+            parent_cells = parent._cells
+            kept = [g for g in prov.changed if g in live and g not in born]
+            total = (
+                parent._area_units(library, units, True, derive=False)
+                - _sum_units(units, parent_cells, dead)
+                + _sum_units(units, cells, born)
+                - _sum_units(units, parent_cells, kept)
+                + _sum_units(units, cells, kept)
+            )
+            if sanitize_enabled():
+                verify_derived(
+                    self, "area", total, _sum_units(units, cells, live)
+                )
         # lint: allow[R1] owner-populated memo, version-scoped by _store
         cache[key] = (library, total)
         return total
@@ -697,21 +858,38 @@ class Circuit:
         over: a cell swap rewrites no fan-in tuple, so the copy's
         fan-out map, live set, topological order and timing
         index/levels are this circuit's.  Memos that read ``cells``
-        (area, timing plan, structure keys, record digests) are rebuilt
-        lazily as usual.  With the levels carried,
-        :func:`repro.sta.update_timing` retimes the copy on this
-        circuit's level schedule (whole levels per frontier pop)
+        (timing plan, structure keys, record digests) are rebuilt
+        lazily as usual — except area, which is this circuit's memoized
+        sum adjusted by the one swapped cell in O(1).  With the levels
+        carried, :func:`repro.sta.update_timing` retimes the copy on
+        this circuit's level schedule (whole levels per frontier pop)
         instead of row by row.
         """
         child = self.copy()
         since = child._version
         child.set_cell(gid, cell)
         child.extend_provenance((gid,), since, 1)
+        old = self._cells[gid]
         carried = {}
         for key in _CELL_FREE_MEMOS:
             value = self._cached(key)
             if value is not None:
                 carried[key] = value
+        areas = {}
+        for key, (library, total) in (self._cached("area") or {}).items():
+            units = library.area_units()[0]
+            # A live-only area is memoized with the live set it summed.
+            gids = carried["live"] if key[1] else child._fanins
+            if gid in gids:
+                total += units[cell] - units[old]
+            if sanitize_enabled():
+                verify_derived(
+                    child, "area", total,
+                    _sum_units(units, child._cells, gids),
+                )
+            areas[key] = (library, total)
+        if areas:
+            carried["area"] = areas
         child._cache = carried
         child._cache_version = child._version
         return child
@@ -862,18 +1040,46 @@ class Circuit:
         rather than builtin ``hash()`` so dedup decisions — and
         therefore archived results — reproduce across processes
         regardless of ``PYTHONHASHSEED``.  Memoized per structure
-        version, and incremental through the provenance protocol (see
-        :meth:`_record_digests`) — DCGWO calls this on every child for
-        dedup *before* evaluation, exactly while the record is valid.
+        version, and incremental through the provenance protocol: a
+        child that qualifies for :meth:`_live_delta` XORs its parent's
+        key with the records of the gates that died, were born or
+        changed (see also :meth:`_record_digests`) — DCGWO calls this
+        on every child for dedup *before* evaluation, exactly while the
+        record is valid.
         """
         cached = self._cached("skey")
         if cached is not None:
             return cached
+        live = self.live_gates()
+        delta = self._live_delta()
         digests = self._record_digests()
-        acc = 0
-        for gid in self.live_gates():
-            acc ^= digests[gid]
+        if delta is None:
+            return self._store("skey", _xor_fold(digests, live))
+        prov, dead, born = delta
+        parent = prov.parent
+        parent_digests = parent._record_digests()
+        kept = [g for g in prov.changed if g in live and g not in born]
+        acc = (
+            parent._memo_skey()
+            ^ _xor_fold(parent_digests, dead)
+            ^ _xor_fold(digests, born)
+            ^ _xor_fold(parent_digests, kept)
+            ^ _xor_fold(digests, kept)
+        )
+        if sanitize_enabled():
+            verify_derived(
+                self, "structure key", acc, _xor_fold(digests, live)
+            )
         return self._store("skey", acc)
+
+    def _memo_skey(self) -> int:
+        """The memoized structure key, else one folded from scratch."""
+        cached = self._cached("skey")
+        if cached is None:
+            cached = self._store(
+                "skey", _xor_fold(self._record_digests(), self._memo_live())
+            )
+        return cached
 
     def __repr__(self) -> str:
         return (

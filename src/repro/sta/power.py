@@ -73,15 +73,17 @@ def estimate_power(
     """Estimate dynamic + leakage power from simulated values.
 
     Only live gates burn power: dangling logic is assumed removed by the
-    flow before tape-out (and the resizer never sees it either).
+    flow before tape-out (and the resizer never sees it either).  Gates
+    are summed in ascending ID order, so the report depends on the live
+    set only, not on how that set was built (a derived child and its
+    pickle round trip read the same floats).
     """
     engine = engine or STAEngine(library)
     loads = engine.compute_loads(circuit)
-    live = circuit.live_gates()
     per_gate: Dict[int, float] = {}
     dynamic_w = 0.0
     leakage_w = 0.0
-    for gid in live:
+    for gid in sorted(circuit.live_gates()):
         if not circuit.is_logic(gid):
             continue
         alpha = toggle_rate(values[gid], vectors.num_vectors)

@@ -497,6 +497,61 @@ class TestProvenanceTripwire:
         verify_provenance(child)  # stale record: nothing to check
 
 
+class TestDerivedMemoCheck:
+    """A child's live set, structure key and area are derived from its
+    provenance parent's memos; the sanitizer rebuilds each from scratch
+    and must catch a wrong delta.  Corrupting the parent's memo is the
+    cheapest way to make the delta wrong."""
+
+    @staticmethod
+    def _child(adder8):
+        return applied_copy(adder8, LAC(adder8.logic_ids()[5], CONST0))
+
+    def test_correct_deltas_pass(self, adder8, library, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        adder8.structure_key()
+        adder8.area(library)
+        child = self._child(adder8)
+        assert child._live_delta() is not None
+        child.structure_key()
+        child.area(library)
+
+    def test_corrupt_live_set_raises(self, adder8, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        live = adder8.live_gates()
+        adder8._store("live", live - {max(adder8.pi_ids)})
+        with pytest.raises(SanitizerError, match="live set"):
+            self._child(adder8).live_gates()
+
+    def test_corrupt_structure_key_raises(self, adder8, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        adder8._store("skey", adder8.structure_key() ^ 1)
+        with pytest.raises(SanitizerError, match="structure key"):
+            self._child(adder8).structure_key()
+
+    def test_corrupt_area_raises(self, adder8, library, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        adder8.area(library)
+        memo = adder8._cached("area")
+        for key, (lib, units) in list(memo.items()):
+            memo[key] = (lib, units + 1)
+        with pytest.raises(SanitizerError, match="area"):
+            self._child(adder8).area(library)
+        gid = adder8.logic_ids()[0]
+        bigger = library.upsize(adder8.cells[gid])
+        with pytest.raises(SanitizerError, match="area"):
+            adder8.resized_copy(gid, bigger.name)
+
+    def test_unchecked_when_disabled(self, adder8, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        adder8._store("skey", adder8.structure_key() ^ 1)
+        child = self._child(adder8)
+        rebuilt = child.copy()
+        rebuilt.provenance = None
+        # Without the check the corrupt parent key flows into the child.
+        assert child.structure_key() == rebuilt.structure_key() ^ 1
+
+
 class TestTrackedLock:
     def test_inversion_raises_before_blocking(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")

@@ -1,5 +1,7 @@
 """Tests for the equivalence checker, power model, and incremental STA."""
 
+import pickle
+
 import pytest
 
 from repro.core import LAC, applied_copy
@@ -170,6 +172,25 @@ class TestPowerModel:
         report = estimate_power(child, library, values, vecs)
         live = child.live_gates()
         assert all(g in live for g in report.per_gate_dynamic)
+
+    def test_derived_child_matches_its_pickle_round_trip(
+        self, adder8, library
+    ):
+        """A derived child's live set is built by a delta, not a walk,
+        so nothing fixes its iteration order; power must not depend on
+        it."""
+        vecs = random_vectors(len(adder8.pi_ids), 1024, seed=0)
+        adder8.live_gates()
+        child = applied_copy(adder8, LAC(adder8.logic_ids()[5], CONST0))
+        assert child._live_delta()[1]  # some gates died
+        twin = pickle.loads(pickle.dumps(child))
+        got = estimate_power(child, library, simulate(child, vecs), vecs)
+        want = estimate_power(twin, library, simulate(twin, vecs), vecs)
+        assert got.dynamic_uw == want.dynamic_uw
+        assert got.leakage_uw == want.leakage_uw
+        assert list(got.per_gate_dynamic.items()) == list(
+            want.per_gate_dynamic.items()
+        )
 
     def test_approximation_reduces_power(self, adder8, library):
         """Killing logic must reduce total power (area and activity)."""

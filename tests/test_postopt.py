@@ -1,5 +1,7 @@
 """Unit tests for post-optimization: dangling deletion and resizing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -311,11 +313,19 @@ class TestResizedCopy:
         parent.structure_key()
         gid, cell = self._upsizable(parent, library)
         child = parent.resized_copy(gid, cell)
-        for key in ("area", "timing_plan", "skey", "full_skey", "rec_digests"):
+        for key in ("timing_plan", "skey", "full_skey", "rec_digests"):
             assert child._cached(key) is None
+        # Area is the one cell memo carried: the parent's sum, adjusted
+        # by the swapped cell.
+        assert child._cached("area") is not None
         fresh = parent.copy()
         fresh.set_cell(gid, cell)
         assert child.area(library) == fresh.area(library)
+        assert child.area(library) == math.fsum(
+            library.cell(fresh.cells[g]).area
+            for g in fresh.live_gates()
+            if fresh.is_logic(g)
+        )
         assert child.area(library) != parent.area(library)
         assert child.structure_key() == fresh.structure_key()
 

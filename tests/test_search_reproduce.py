@@ -112,6 +112,26 @@ class TestLevels:
         # and both are error-free: the LSB cone must score higher.
         assert levels[pos[0]] > levels[pos[-1]]
 
+    def test_levels_match_scalar_loop_and_memoize(self, ctx, adder8):
+        """``po_levels`` against the per-PO scalar loop it replaced (bit
+        for bit), memoized per eval and weights."""
+        ev = evaluate(
+            ctx, applied_copy(adder8, LAC(adder8.logic_ids()[6], CONST0))
+        )
+        floor = 0.5 / ctx.vectors.num_vectors
+        ta_floor = 0.01 * ctx.cpd_ori
+        for weights in (
+            LevelWeights.paper_defaults(ctx), LevelWeights(3.0, 0.7)
+        ):
+            want = {}
+            for idx, po in enumerate(ev.circuit.po_ids):
+                ta = max(ev.report.po_arrival(po), ta_floor, 1e-9)
+                err = max(ev.per_po_error[idx], floor)
+                want[po] = weights.wt / ta + weights.we / err
+            got = po_levels(ev, ctx, weights)
+            assert list(got.items()) == list(want.items())
+            assert po_levels(ev, ctx, weights) is got
+
     def test_paper_default_weights(self, ctx):
         w = LevelWeights.paper_defaults(ctx)
         assert w.wt == pytest.approx(0.9 * ctx.cpd_ori)
