@@ -20,17 +20,26 @@ How determinism is preserved:
   incrementally evaluable against which parent and which needs a full
   evaluation, exactly as the serial path does; workers never make
   path decisions of their own.
-* **Parents travel once, children every generation.**  A provenance
-  group is shipped as (parent key, children-with-changed-sets).  The
-  first time a parent reaches a worker its full
+* **Parents travel once; children travel as change records and come
+  back as numbers.**  A provenance group is shipped as (parent key,
+  members).  The first time a parent reaches a worker its full
   :class:`~repro.core.fitness.CircuitEval` rides along and is cached
   worker-side (the parent process mirrors the cache bookkeeping, so it
-  knows which worker owns which parent); subsequent generations ship
-  only the children.  Workers re-stamp each child's provenance against
-  their cached parent copy and run the ordinary batch path — stacked
-  value walk plus per-child incremental timing
-  (:func:`repro.sta.update_timing_batch`) — the same code, the same
-  floats.
+  knows which worker owns which parent).  A member ships only
+  ``(gid, cell, fanins)`` for each gate in its provenance ``changed``
+  set; the worker rebuilds it as a copy of its cached parent plus
+  those writes, declared to the copy's provenance record, and runs the
+  ordinary batch path — the same code, the same floats.  Copies keep
+  the parent's dict order, so the rebuilt child is the dispatcher's
+  child in order and content.  A member whose gate-ID set, PI list or
+  PO list differs from its parent's travels whole, as a
+  full-evaluation single.  Replies carry the timing arrays, the value
+  matrix and the metric scalars, never a circuit: the dispatcher binds
+  each result to the circuit it submitted, derives the memos a serial
+  evaluation leaves behind (timing index, fan-out map, live set, area)
+  while that child's provenance record is valid, and releases the
+  record — so the next generation's operators start from the
+  dispatcher's own children, memos included.
 * **Results merge by item index**, so completion order is irrelevant.
 
 Evaluating each gate's value and timing is a pure function of circuit
@@ -78,6 +87,7 @@ import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as connection_wait
+from multiprocessing.reduction import ForkingPickler
 from typing import (
     Any,
     Dict,
@@ -91,12 +101,17 @@ from typing import (
 import numpy as np
 
 from .. import faults
-from ..analysis.sanitize import TrackedLock, publish_array
+from ..analysis.sanitize import (
+    SanitizerError,
+    TrackedLock,
+    publish_array,
+    sanitize_enabled,
+)
 from ..netlist import Circuit
-from ..netlist.circuit import Provenance
 from ..sim import ErrorMode, VectorSet
 from ..sim.store import ValueStore, value_store_index
 from ..sta import TimingReport
+from ..sta.store import timing_index
 from .batch import BatchItem, evaluate_batch, group_by_parent
 from .fitness import CircuitEval, DepthMode, EvalContext
 
@@ -198,16 +213,6 @@ def resolve_jobs(jobs: Optional[int] = None, config: Any = None) -> int:
     return 1
 
 
-def full_structure_key(circuit: Circuit) -> bytes:
-    """Back-compat shim: see :meth:`Circuit.full_structure_key`.
-
-    The digest moved onto :class:`~repro.netlist.Circuit` so the batch
-    evaluator's singles dedup can use it without importing this module
-    (which imports the batch evaluator).
-    """
-    return circuit.full_structure_key()
-
-
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
@@ -272,12 +277,12 @@ class _ContextSpec:
         return ctx
 
 
-# A CircuitEval's ``values`` are a dense SoA matrix laid out by the
-# same sorted-gid row numbering as the timing arrays, so evals cross
-# the pipe with that matrix shipped raw — no per-gate keys, no dict
-# repacking — and the row index is rebuilt memoized from the circuit on
-# the receiving side.  Timing rides the same way: the report's SoA
-# arrays ship raw (five numpy arrays instead of five per-gate dicts).
+# A parent payload ships a CircuitEval's ``values`` as the dense SoA
+# matrix laid out by the same sorted-gid row numbering as the timing
+# arrays — no per-gate keys, no dict repacking — and the row index is
+# rebuilt memoized from the circuit on the receiving side.  Timing
+# rides the same way: the report's SoA arrays ship raw (five numpy
+# arrays instead of five per-gate dicts).
 _PackedEval = Tuple[
     Circuit,  # shares identity with report.circuit through one pickle
     Tuple,  # TimingReport.pack(): five SoA arrays + structure version
@@ -294,6 +299,7 @@ _PackedEval = Tuple[
 
 
 def _pack_eval(ev: CircuitEval) -> _PackedEval:
+    """A parent eval as it first travels to a worker, circuit included."""
     return (
         ev.circuit,
         ev.report.pack(),
@@ -344,21 +350,77 @@ def _unpack_eval(packed: _PackedEval) -> CircuitEval:
     )
 
 
-def _reattach_provenance(
-    circuit: Circuit, parent: CircuitEval, changed: FrozenSet[int]
-) -> None:
-    """Re-stamp a shipped child against the worker's parent copy.
+#: A worker's reply for one item: the numbers of its eval, no circuit
+#: (the dispatcher binds them to the circuit it submitted).
+_EvalNumbers = Tuple[
+    Tuple,  # the report's five SoA timing arrays
+    np.ndarray,  # value matrix: (index.n + 2, W)
+    float,  # depth
+    float,  # area
+    float,  # error
+    List[float],  # per_po_error
+    float,  # fd
+    float,  # fa
+    float,  # fitness
+]
 
-    Pickling deliberately drops provenance (it is only meaningful
-    relative to an in-memory parent object); the dispatcher shipped the
-    ``changed`` set alongside, and the worker's cached parent is
-    structurally identical to the original, so the re-stamped record
-    drives exactly the cone walk the serial path would have run.
-    """
-    circuit.provenance = Provenance(
-        parent.circuit, parent.circuit_version, changed
+
+def _eval_numbers(ev: CircuitEval) -> _EvalNumbers:
+    return (
+        ev.report.pack()[:5],
+        ev.values.matrix,
+        ev.depth,
+        ev.area,
+        ev.error,
+        ev.per_po_error,
+        ev.fd,
+        ev.fa,
+        ev.fitness,
     )
-    circuit._prov_version = circuit._version
+
+
+#: One gate of a change-record member: ``(gid, cell, fanins)``.
+_GateRecord = Tuple[int, str, Tuple[int, ...]]
+
+
+def _change_records(
+    circuit: Circuit, changed: FrozenSet[int]
+) -> Tuple[_GateRecord, ...]:
+    """What a group member ships: its record of every changed gate."""
+    fanins, cells = circuit.fanins, circuit.cells
+    return tuple((g, cells[g], fanins[g]) for g in sorted(changed))
+
+
+def _rebuild_member(
+    parent: Circuit, records: Sequence[_GateRecord], key: bytes
+) -> Circuit:
+    """Rebuild a shipped member on the worker's copy of its parent.
+
+    The child is a copy of ``parent`` with each record written over
+    its gate.  Every record names an existing gate, and a copy keeps
+    the parent's dict order, so the child equals the dispatcher's in
+    order and content.  The writes are declared to the copy's
+    provenance record, which then names the worker's parent with the
+    dispatcher's ``changed`` set and drives exactly the cone walk the
+    serial path runs.  Under ``REPRO_SANITIZE=1`` the child's full
+    structure key must equal the shipped ``key``.
+    """
+    child = parent.copy()
+    since = child.version
+    fanins, cells = child.fanins, child.cells
+    for gid, cell, fis in records:
+        fanins[gid] = fis
+        cells[gid] = cell
+    child.extend_provenance(
+        [gid for gid, _, _ in records], since, 2 * len(records)
+    )
+    if sanitize_enabled() and child.full_structure_key() != key:
+        raise SanitizerError(
+            f"{child!r} rebuilt from {len(records)} change records does "
+            "not match the dispatcher's full structure key — the records "
+            "do not describe the child the dispatcher holds"
+        )
+    return child
 
 
 def _worker_eval(
@@ -366,13 +428,13 @@ def _worker_eval(
     ref_key: bytes,
     cache: "Dict[bytes, CircuitEval]",
     evicts: Sequence[bytes],
-    groups: Sequence[Tuple[bytes, Optional["_PackedEval"], List]],
+    groups: Sequence[Tuple[bytes, Optional[_PackedEval], List]],
     singles: Sequence[Tuple[int, Circuit, bytes]],
-) -> List[Tuple[int, "_PackedEval"]]:
+) -> List[Tuple[int, _EvalNumbers]]:
     """Evaluate one shard: provenance groups + full-eval singles."""
     for key in evicts:
         cache.pop(key, None)
-    results: List[Tuple[int, _PackedEval]] = []
+    results: List[Tuple[int, _EvalNumbers]] = []
     for key, payload, members in groups:
         if payload is not None:
             parent = _unpack_eval(payload)
@@ -386,15 +448,16 @@ def _worker_eval(
                     "shard cache desync: dispatcher referenced a parent "
                     "this worker does not hold"
                 )
-        items: List[BatchItem] = []
-        for _, circuit, changed, _ in members:
-            _reattach_provenance(circuit, parent, changed)
-            items.append((circuit, parent))
-        evals = evaluate_batch(ctx, items)
-        for (index, _, _, child_key), ev in zip(members, evals):
-            if child_key is not None:
-                cache[child_key] = ev
-            results.append((index, _pack_eval(ev)))
+        evals = evaluate_batch(
+            ctx,
+            [
+                (_rebuild_member(parent.circuit, records, child_key), parent)
+                for _, records, child_key in members
+            ],
+        )
+        for (index, _, child_key), ev in zip(members, evals):
+            cache[child_key] = ev
+            results.append((index, _eval_numbers(ev)))
     if singles:
         # Through the batch evaluator rather than a bare `evaluate`
         # loop so the shard consults/populates the evaluation lake and
@@ -405,9 +468,8 @@ def _worker_eval(
             ctx, [(circuit, None) for _, circuit, _ in singles]
         )
         for (index, _, child_key), ev in zip(singles, evals):
-            if child_key is not None:
-                cache[child_key] = ev
-            results.append((index, _pack_eval(ev)))
+            cache[child_key] = ev
+            results.append((index, _eval_numbers(ev)))
     lake = getattr(ctx, "lake", None)
     if lake:
         # Workers exit through ``os._exit`` (no atexit), so lake hit/put
@@ -484,7 +546,7 @@ def _worker_main(conn: Connection, spec: _ContextSpec, parent_pid: int) -> None:
             if ctx is None and init_error is None:
                 try:
                     ctx = spec.build()
-                    ref_key = full_structure_key(ctx.reference)
+                    ref_key = ctx.reference.full_structure_key()
                 except BaseException as exc:  # noqa: BLE001 - report, don't die
                     init_error = exc
             if init_error is not None:
@@ -531,6 +593,8 @@ class _WorkerPlan:
     """One worker's share of a dispatch, built deterministically."""
 
     evicts: List[bytes] = field(default_factory=list)
+    #: ``(parent key, parent payload or None, members)``; a member is
+    #: ``(item index, change records, full structure key)``.
     groups: List[Tuple[bytes, Optional[_PackedEval], List]] = field(
         default_factory=list
     )
@@ -575,7 +639,9 @@ class ShardDispatcher:
     death/hang cannot change a result, only its routing.  Recovery
     counters live in :attr:`stats` (``respawns``/``retries``/
     ``timeouts``/``replays``/``serial_fallbacks``) for the chaos CI
-    job's summary.
+    job's summary, next to the pipe traffic in pickled bytes
+    (``sent_bytes``/``recv_bytes``), a pure function of the item
+    stream like the dispatch sequence itself.
     """
 
     def __init__(
@@ -608,13 +674,16 @@ class ShardDispatcher:
             else max(0, _env_int("REPRO_WORKER_RETRIES", DEFAULT_WORKER_RETRIES))
         )
         self.backoff = backoff
-        #: Recovery counters (cumulative over the dispatcher's life).
+        #: Recovery and transport counters (cumulative over the
+        #: dispatcher's life).
         self.stats: Dict[str, int] = {
             "respawns": 0,
             "retries": 0,
             "timeouts": 0,
             "replays": 0,
             "serial_fallbacks": 0,
+            "sent_bytes": 0,
+            "recv_bytes": 0,
         }
         self._closed = False
         #: Serializes pool access: the pipes, routing tables and cache
@@ -624,7 +693,7 @@ class ShardDispatcher:
         #: Reentrant because the error path closes from inside a
         #: dispatch.
         self._lock = TrackedLock("ShardDispatcher._lock", reentrant=True)
-        self._ref_key = full_structure_key(ctx.reference)
+        self._ref_key = ctx.reference.full_structure_key()
         #: Mirror of each worker's cache keys, in insertion (FIFO) order.
         self._known: List["OrderedDict[bytes, None]"] = [
             OrderedDict() for _ in range(jobs)
@@ -780,21 +849,40 @@ class ShardDispatcher:
         plans = [_WorkerPlan() for _ in range(self.jobs)]
         pinned: set = set()
         for parent, members in groups:
-            key = full_structure_key(parent.circuit)
-            packed = [
-                (i, circuit, changed, full_structure_key(circuit))
-                for i, circuit, changed in members
-            ]
+            pc = parent.circuit
+            shipped = []
+            for i, circuit, changed in members:
+                if (
+                    circuit.same_gid_set(pc)
+                    and circuit.pi_ids == pc.pi_ids
+                    and circuit.po_ids == pc.po_ids
+                ):
+                    shipped.append(
+                        (
+                            i,
+                            _change_records(circuit, changed),
+                            circuit.full_structure_key(),
+                        )
+                    )
+                else:
+                    # Change records only overwrite existing gates: a
+                    # member that adds or drops gates or ports travels
+                    # whole, as a full-evaluation single (full ==
+                    # incremental, bit for bit).
+                    singles.append((i, circuit))
+            if not shipped:
+                continue
+            key = pc.full_structure_key()
             if key == self._ref_key:
                 # Every worker rebuilds the reference eval locally, so
                 # the (large) initial-population group splits for free.
-                chunk = -(-len(packed) // self.jobs)  # ceil div
+                chunk = -(-len(shipped) // self.jobs)  # ceil div
                 for w in range(self.jobs):
-                    part = packed[w * chunk : (w + 1) * chunk]
+                    part = shipped[w * chunk : (w + 1) * chunk]
                     if not part:
                         continue
                     plans[w].groups.append((key, None, part))
-                    for _, _, _, child_key in part:
+                    for _, _, child_key in part:
                         self._register(w, child_key, plans[w], pinned)
                 continue
             owner = self._owner_of(key)
@@ -806,13 +894,13 @@ class ShardDispatcher:
                 self._register(owner, key, plans[owner], pinned)
             else:
                 pinned.add(key)
-            plans[owner].groups.append((key, payload, packed))
-            for _, _, _, child_key in packed:
+            plans[owner].groups.append((key, payload, shipped))
+            for _, _, child_key in shipped:
                 self._register(owner, child_key, plans[owner], pinned)
         for i, circuit in singles:
             w = self._rr % self.jobs
             self._rr += 1
-            child_key = full_structure_key(circuit)
+            child_key = circuit.full_structure_key()
             plans[w].singles.append((i, circuit, child_key))
             self._register(w, child_key, plans[w], pinned)
         return plans
@@ -825,11 +913,20 @@ class ShardDispatcher:
         (the caller treats that exactly like a death and respawns)."""
         if self._closed:
             raise RuntimeError("dispatcher is closed")
+        # What ``Connection.send`` does, with the size counted.
+        buf = ForkingPickler.dumps(msg)
         try:
-            self._workers[worker][1].send(msg)
-            return True
+            self._workers[worker][1].send_bytes(buf)
         except (OSError, ValueError):
             return False
+        self.stats["sent_bytes"] += len(buf)
+        return True
+
+    def _recv(self, conn: Connection) -> Any:
+        """``Connection.recv`` with the reply size counted."""
+        buf = conn.recv_bytes()
+        self.stats["recv_bytes"] += len(buf)
+        return ForkingPickler.loads(buf)
 
     def _recv_reply(self, worker: int, timeout: float) -> Tuple[str, Any]:
         """Receive one reply, watching process, pipe, and the clock.
@@ -849,10 +946,10 @@ class ShardDispatcher:
         )
         while True:
             if conn.poll(0.05):
-                return conn.recv()
+                return self._recv(conn)
             if not proc.is_alive():
                 if conn.poll(0.05):  # drain a reply racing the exit
-                    return conn.recv()
+                    return self._recv(conn)
                 raise EOFError(f"worker exited with {proc.exitcode!r}")
             # lint: allow[R4] supervision wall clock; never feeds results
             if deadline is not None and time.monotonic() > deadline:
@@ -923,6 +1020,11 @@ class ShardDispatcher:
         fully evaluated (still sharded), matching what the serial path
         would have computed under that toggle.
 
+        As with :func:`~repro.core.batch.evaluate_batch`, each eval's
+        ``circuit`` is the item's own circuit object, with its
+        provenance record released and the memos of a serial
+        evaluation in place (see :meth:`_bind`).
+
         Self-healing: workers that die, hang past the reply deadline,
         or lose their pipe are respawned and the unmerged items
         re-planned (results already merged from healthy workers are
@@ -972,8 +1074,10 @@ class ShardDispatcher:
                         w, self.worker_timeout
                     )
                     if kind == "ok":
-                        for sub_index, packed in payload:
-                            out[pending[sub_index]] = _unpack_eval(packed)
+                        for sub_index, numbers in payload:
+                            out[pending[sub_index]] = self._bind(
+                                sub[sub_index][0], numbers
+                            )
                             done.add(sub_index)
                     elif kind == "err":
                         error = payload
@@ -996,6 +1100,57 @@ class ShardDispatcher:
                 ]
                 attempt += 1
         return out  # type: ignore[return-value]
+
+    def _bind(self, circuit: Circuit, numbers: _EvalNumbers) -> CircuitEval:
+        """A worker's numbers as an eval of the circuit submitted here.
+
+        What the serial path leaves on a child is rebuilt here while
+        its provenance record is still valid: the timing index (the
+        parent's, when the gate-ID set and PO list match), the fan-out
+        map, the live set and the area, each derived from the parent's
+        memos.  The derived area must equal the worker's, or the two
+        processes evaluated different circuits.  The record is then
+        released as :func:`~repro.core.fitness._finish_eval` does, and
+        both versions are stamped from this circuit — a stale stamp
+        would silently send the next generation's timing update down
+        its O(E) path.
+        """
+        arrays, matrix, depth, area, error, per_po, fd, fa, fitness = numbers
+        index = circuit._cached("timing_index")
+        prov = circuit.valid_provenance()
+        if prov is not None:
+            parent = prov.parent
+            if (
+                index is None
+                and circuit.same_gid_set(parent)
+                and circuit.po_ids == parent.po_ids
+            ):
+                index = circuit._store("timing_index", timing_index(parent))
+            circuit.fanouts()
+            derived = circuit.area(self._spec.library)
+            if derived != area:
+                raise RuntimeError(
+                    f"shard worker evaluated a different circuit: area "
+                    f"{area!r} there, {derived!r} for {circuit!r} here"
+                )
+            circuit.provenance = None
+        if index is None:
+            index = timing_index(circuit)
+        version = circuit.version
+        return CircuitEval(
+            circuit=circuit,
+            report=TimingReport(circuit, index, *arrays, version),
+            # Arrives writable from the pipe; republish read-only.
+            values=ValueStore(index, publish_array(matrix)),
+            depth=depth,
+            area=area,
+            error=error,
+            per_po_error=per_po,
+            fd=fd,
+            fa=fa,
+            fitness=fitness,
+            circuit_version=version,
+        )
 
     def _serial_fallback(
         self,
@@ -1117,7 +1272,7 @@ class ShardDispatcher:
                     w = conn_to_worker[conn]
                     method, _ = inflight.pop(w)
                     try:
-                        kind, payload = conn.recv()
+                        kind, payload = self._recv(conn)
                     except (EOFError, OSError):
                         fail_method(w, method)
                         continue

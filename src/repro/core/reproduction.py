@@ -135,14 +135,16 @@ def circuit_reproduce(
     # Writing a gate from `base` is a no-op, so only gates where `other`
     # differs can change, and only when the first cone covering them is
     # one of `other`'s.  Cones are TFIs, so "po's cone covers g" is
-    # "po lies in g's TFO" — one memoized walk per (gate, parent).
+    # "po lies in g's TFO" — one memoized walk per (gate, parent).  The
+    # differing gates come from the item views' symmetric difference,
+    # which CPython computes at C level with one lookup per item (the
+    # `-` difference would hash every item of both views).  Visiting
+    # them in any order is fine: every write hits an existing key, so
+    # dict order is kept, and `changed` becomes a set.
     bf, bc = base.fanins, base.cells
     of, oc = other.fanins, other.cells
-    diff = [
-        g
-        for g, fis in bf.items()
-        if fis != of[g] or (bc[g] != oc[g] and bc[g] != PO_CELL)
-    ]
+    diff = {g for g, _ in bf.items() ^ of.items()}
+    diff.update(g for g, _ in bc.items() ^ oc.items() if bc[g] != PO_CELL)
     since = child.version
     changed: List[int] = []
     writes = 0

@@ -615,13 +615,15 @@ class Session:
     # lifecycle
     # ------------------------------------------------------------------
     def fault_stats(self) -> Dict[str, int]:
-        """Recovery counters of the session's shard pool, if one exists.
+        """Recovery and transport counters of the session's shard pool.
 
         A copy of :attr:`ShardDispatcher.stats` (``respawns`` /
         ``retries`` / ``timeouts`` / ``replays`` /
-        ``serial_fallbacks``), or ``{}`` for a serial session.  The
-        chaos CI job publishes these to its summary; all-zero under an
-        armed fault schedule means the schedule never actually fired.
+        ``serial_fallbacks``, plus the pickled bytes the pool sent and
+        received, ``sent_bytes`` / ``recv_bytes``), or ``{}`` for a
+        serial session.  The chaos CI job publishes these to its
+        summary; all-zero recovery counters under an armed fault
+        schedule mean the schedule never actually fired.
         """
         dispatcher = getattr(self.ctx, "_dispatcher", None)
         if dispatcher is None:

@@ -552,6 +552,52 @@ class TestDerivedMemoCheck:
         assert child.structure_key() == rebuilt.structure_key() ^ 1
 
 
+class TestChangeRecordKeyCheck:
+    """A shard worker rebuilds each group member from its change
+    records; under the sanitizer the rebuilt child's full structure key
+    must equal the one the dispatcher shipped."""
+
+    @staticmethod
+    def _shipped(adder8):
+        from repro.core.parallel import _change_records
+
+        child = applied_copy(adder8, LAC(adder8.logic_ids()[5], CONST0))
+        prov = child.valid_provenance()
+        records = _change_records(child, prov.changed)
+        return records, child.full_structure_key()
+
+    def test_faithful_records_pass(self, adder8, monkeypatch):
+        from repro.core.parallel import _rebuild_member
+
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        records, key = self._shipped(adder8)
+        rebuilt = _rebuild_member(adder8, records, key)
+        assert rebuilt.full_structure_key() == key
+
+    def test_corrupt_record_trips_the_key_check(self, adder8, monkeypatch):
+        from repro.core.parallel import _rebuild_member
+
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        records, key = self._shipped(adder8)
+        gid, cell, fanins = records[0]
+        assert fanins[::-1] != fanins
+        # The corrupt gate is still declared, so the provenance
+        # tripwire passes it; only the key check can catch it.
+        corrupt = ((gid, cell, fanins[::-1]),) + records[1:]
+        with pytest.raises(SanitizerError, match="full structure key"):
+            _rebuild_member(adder8, corrupt, key)
+
+    def test_unchecked_when_disabled(self, adder8, monkeypatch):
+        from repro.core.parallel import _rebuild_member
+
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        records, key = self._shipped(adder8)
+        gid, cell, fanins = records[0]
+        corrupt = ((gid, cell, fanins[::-1]),) + records[1:]
+        rebuilt = _rebuild_member(adder8, corrupt, key)
+        assert rebuilt.full_structure_key() != key
+
+
 class TestTrackedLock:
     def test_inversion_raises_before_blocking(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")

@@ -15,6 +15,11 @@ fallback).  The suite pins:
 * run identity — a seeded DCGWO run under jobs=2 produces exactly the
   serial :class:`OptimizationResult` (fitness, error, structure keys,
   evaluation counts, history);
+* transport — replies carry numbers bound to the dispatcher's own
+  child objects (provenance released, versions and memos as after a
+  serial evaluation), group members travel as change records that
+  rebuild the dispatcher's child exactly, members of another shape
+  travel whole, and the pipe byte counters are deterministic;
 * crash safety — a worker that raises (poisoned cell library) surfaces
   the *original* exception from ``Session.run`` and leaves no worker
   process behind;
@@ -24,8 +29,10 @@ fallback).  The suite pins:
 
 from __future__ import annotations
 
+import io
 import multiprocessing
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -33,8 +40,16 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_circuits import build_adder
+from test_fanout_patch import (
+    _BUILDERS,
+    _lac_child,
+    _simplified_child,
+    contexts,  # noqa: F401  (module-scoped fixture)
+)
 
 from repro import FlowConfig, Session
 from repro.cells import Library, default_library
@@ -52,6 +67,8 @@ from repro.core import (
     resolve_jobs,
 )
 from repro.core import parallel as parallel_mod
+from repro.core.parallel import _change_records, _rebuild_member
+from repro.netlist import CONST0, Circuit
 from repro.sim import ErrorMode, best_switch
 
 
@@ -290,6 +307,229 @@ class TestParallelBatchEquivalence:
             assert a.fitness == b.fitness
             assert a.error == b.error
             assert a.area == b.area
+
+
+# ----------------------------------------------------------------------
+# transport: change records out, numbers back
+# ----------------------------------------------------------------------
+def _circuits_in(obj):
+    """Every :class:`Circuit` the pickle of ``obj`` would carry."""
+    found = []
+
+    class _Finder(pickle.Pickler):
+        def persistent_id(self, candidate):
+            if isinstance(candidate, Circuit):
+                found.append(candidate)
+                return len(found)
+            return None
+
+    _Finder(io.BytesIO()).dump(obj)
+    return found
+
+
+def _next_generation(ctx, gen1, seed=23):
+    """Two LAC children of each eval in ``gen1``, plus one crossover."""
+    items = []
+    for k, parent_ev in enumerate(gen1):
+        for child in _lac_children(
+            ctx, 2, seed=seed + 6 + k, circuit=parent_ev.circuit,
+            parent=parent_ev,
+        ):
+            items.append((child, (parent_ev,)))
+    items.append((circuit_reproduce(gen1[0], gen1[1], ctx), tuple(gen1)))
+    return items
+
+
+def _serial_generation(ctx, seed):
+    """LAC children of the reference, evaluated in this process."""
+    return evaluate_batch(
+        ctx,
+        [(c, ctx.reference_eval()) for c in _lac_children(ctx, 3, seed=seed)],
+    )
+
+
+class _Spy:
+    """Records what a dispatcher plans and receives (parent side)."""
+
+    def __init__(self, monkeypatch):
+        self.plans, self.replies = [], []
+        plan, recv = ShardDispatcher._plan, ShardDispatcher._recv
+
+        def spy_plan(dispatcher, *args, **kwargs):
+            self.plans.append(plan(dispatcher, *args, **kwargs))
+            return self.plans[-1]
+
+        def spy_recv(dispatcher, conn):
+            self.replies.append(recv(dispatcher, conn))
+            return self.replies[-1]
+
+        monkeypatch.setattr(ShardDispatcher, "_plan", spy_plan)
+        monkeypatch.setattr(ShardDispatcher, "_recv", spy_recv)
+
+    def members(self):
+        return [
+            member
+            for plans in self.plans
+            for plan in plans
+            for _, _, members in plan.groups
+            for member in members
+        ]
+
+    def singles(self):
+        return [
+            index
+            for plans in self.plans
+            for plan in plans
+            for index, _, _ in plan.singles
+        ]
+
+
+class TestShardTransport:
+    def test_evals_bind_to_submitted_circuits(self, library):
+        ctx_a = _ctx(build_adder(8), library)
+        ctx_b = _ctx(build_adder(8), library)
+        first_a = [
+            (c, ctx_a.reference_eval()) for c in _lac_children(ctx_a, 4)
+        ]
+        first_b = [
+            (c, ctx_b.reference_eval()) for c in _lac_children(ctx_b, 4)
+        ]
+        # Generation 2 derives from the dispatcher's own evals (parents
+        # the workers already hold) and from serial ones (shipped once).
+        with ShardDispatcher(ctx_a, 2) as dispatcher:
+            got = dispatcher.evaluate_items(first_a)
+            second_a = _next_generation(ctx_a, got)
+            second_a += _next_generation(ctx_a, _serial_generation(ctx_a, 41))
+            got += dispatcher.evaluate_items(second_a)
+        want = evaluate_batch(ctx_b, first_b)
+        second_b = _next_generation(ctx_b, want)
+        second_b += _next_generation(ctx_b, _serial_generation(ctx_b, 41))
+        want += evaluate_batch(ctx_b, second_b)
+        assert len(got) == len(want) == len(first_a) + len(second_a)
+        for (circuit, _), ev, ref in zip(first_a + second_a, got, want):
+            assert ev.circuit is circuit
+            assert ev.report.circuit is circuit
+            assert circuit.provenance is None
+            assert (
+                ev.report.circuit_version
+                == circuit.version
+                == ev.circuit_version
+            )
+            for memo in ("fanouts", "live", "timing_index"):
+                assert circuit._cached(memo) is not None, memo
+                assert ref.circuit._cached(memo) is not None, memo
+            assert circuit._cached("fanouts") == ref.circuit._cached("fanouts")
+            assert circuit._cached("live") == ref.circuit._cached("live")
+            assert ev.report.index is circuit._cached("timing_index")
+            assert (ev.report.index.gids == ref.report.index.gids).all()
+            _assert_same_eval(ev, ref)
+
+    def test_no_circuit_in_replies_or_members(self, library, monkeypatch):
+        from repro.core import simplified_copy
+        from repro.core.simplify import propose_simplification
+
+        ctx = _ctx(build_adder(8), library)
+        ref = ctx.reference_eval()
+        items = [(c, ref) for c in _lac_children(ctx, 3, seed=5)]
+        rng = random.Random(9)
+        for target in rng.sample(ctx.reference.logic_ids(), 12):
+            simp = propose_simplification(
+                ctx.reference, ref.values, target, ctx.vectors.num_vectors
+            )
+            if simp is not None:
+                items.append((simplified_copy(ctx.reference, simp), ref))
+        assert len(items) > 3
+        items += _next_generation(ctx, _serial_generation(ctx, 31))
+        spy = _Spy(monkeypatch)
+        with ShardDispatcher(ctx, 2) as dispatcher:
+            dispatcher.evaluate_items(items)
+        assert len(spy.members()) == len(items)
+        assert not spy.singles()
+        assert not _circuits_in(spy.members())
+        assert spy.replies and not _circuits_in(spy.replies)
+
+    def test_reshaped_member_travels_whole(self, library, monkeypatch):
+        evaluated = []
+        for _ in range(2):
+            ctx = _ctx(build_adder(8), library)
+            target = ctx.reference.logic_ids()[5]
+            reshaped = applied_copy(ctx.reference, LAC(target, CONST0))
+            since = reshaped.version
+            reshaped.remove_gate(target)  # now unreferenced
+            reshaped.extend_provenance((target,), since, 2)
+            assert reshaped.valid_provenance() is not None
+            assert not reshaped.same_gid_set(ctx.reference)
+            ref = ctx.reference_eval()
+            kids = [(c, ref) for c in _lac_children(ctx, 3)]
+            evaluated.append((ctx, [(reshaped, ref)] + kids))
+        (ctx_a, items_a), (ctx_b, items_b) = evaluated
+        spy = _Spy(monkeypatch)
+        with ShardDispatcher(ctx_a, 2) as dispatcher:
+            got = dispatcher.evaluate_items(items_a)
+        assert spy.singles() == [0]
+        assert sorted(m[0] for m in spy.members()) == [1, 2, 3]
+        want = evaluate_batch(ctx_b, items_b)
+        for a, b in zip(got, want):
+            key = a.circuit.full_structure_key()
+            assert key == b.circuit.full_structure_key()
+            _assert_same_eval(a, b)
+
+    def test_transport_bytes_counted_and_deterministic(self, library):
+        counts = []
+        for _ in range(2):
+            with Session(build_adder(8), NMED_CFG, cache=False) as session:
+                session.run("Ours", jobs=2)
+                stats = session.fault_stats()
+            counts.append((stats["sent_bytes"], stats["recv_bytes"]))
+        assert counts[0][0] > 0 and counts[0][1] > 0
+        assert counts[0] == counts[1]
+
+
+@given(
+    name=st.sampled_from(sorted(_BUILDERS)),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(("wire", "const", "simplify", "reproduce")),
+            st.integers(0, 10_000),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@settings(max_examples=25, deadline=None)
+def test_rebuilt_member_is_the_dispatchers_child(contexts, name, steps):
+    """A worker rebuilds each member on its own copy of the parent (a
+    pickled reference, or a member it rebuilt earlier); the child must
+    be the dispatcher's in dict order and content."""
+    ctx = contexts[name]
+    num_vectors = ctx.vectors.num_vectors
+    pool = [ctx.reference_eval()]
+    twins = {id(ctx.reference): pickle.loads(pickle.dumps(ctx.reference))}
+    for op, seed in steps:
+        rng = random.Random(seed)
+        parent = pool[seed % len(pool)]
+        if op == "reproduce":
+            partner = pool[rng.randrange(len(pool))]
+            made = (circuit_reproduce(parent, partner, ctx), [parent, partner])
+        elif op == "simplify":
+            made = _simplified_child(parent, rng, num_vectors)
+        else:
+            made = _lac_child(parent, rng, constant=op == "const")
+        if made is None:
+            continue
+        child, parents = made
+        prov = child.valid_provenance()
+        key = child.full_structure_key()
+        rebuilt = _rebuild_member(
+            twins[id(prov.parent)], _change_records(child, prov.changed), key
+        )
+        assert list(rebuilt.fanins.items()) == list(child.fanins.items())
+        assert list(rebuilt.cells.items()) == list(child.cells.items())
+        assert rebuilt.full_structure_key() == key
+        assert rebuilt.valid_provenance().changed == prov.changed
+        pool.append(evaluate_incremental(ctx, child, parents))
+        rebuilt.provenance = None  # a worker's evaluation releases it
+        twins[id(child)] = rebuilt
 
 
 # ----------------------------------------------------------------------
